@@ -28,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .outage import LinkBudget, Selection
+from .outage import LinkBudget, Selection, snr_threshold
 
 _BISECTION_ITERS = 60
-_SWEEP_POINTS = 2049
-_GOLDEN_ITERS = 80
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,8 @@ class UserConfig:
     rate_min: float = 0.0
 
     def __post_init__(self):
-        if self.p_user_max <= 0 or self.p_relay_max <= 0:
-            raise ValueError("maximum powers must be strictly positive")
+        if not all(math.isfinite(p) and p > 0 for p in (self.p_user_max, self.p_relay_max)):
+            raise ValueError("maximum powers must be finite and strictly positive")
         if not 0 <= self.p_user_min <= self.p_user_max:
             raise ValueError(
                 f"need 0 <= p_user_min <= p_user_max, got {self.p_user_min} vs {self.p_user_max}"
@@ -58,8 +55,8 @@ class UserConfig:
             raise ValueError(
                 f"need 0 <= p_relay_min <= p_relay_max, got {self.p_relay_min} vs {self.p_relay_max}"
             )
-        if self.rate_min < 0:
-            raise ValueError("rate_min must be nonnegative")
+        if not (math.isfinite(self.rate_min) and self.rate_min >= 0):
+            raise ValueError(f"rate_min must be finite and nonnegative, got {self.rate_min}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,11 @@ def snr_df(p_user: float, p_relay: float, s: SnrTriple) -> float:
     if p_user < 0 or p_relay < 0:
         raise ValueError("powers must be nonnegative")
     return min(p_user * s.gamma_ub + p_relay * s.gamma_rb, p_user * s.gamma_ur)
+
+
+def scheme_snr(scheme: Selection, p_user: float, p_relay: float, s: SnrTriple) -> float:
+    """End-to-end SNR of ``scheme`` (AF, else DF) at a power point."""
+    return snr_af(p_user, p_relay, s) if scheme is Selection.AF else snr_df(p_user, p_relay, s)
 
 
 def _rate_scale(snr):
@@ -193,13 +195,18 @@ def solve_df_subproblem(
 ) -> tuple[float, float, float]:
     """Best DF operating point inside the box and the DF region.
 
-    Maximizes ``min(pu*gub + pr*grb, pu*gur)`` over the power box
-    intersected with the DF-region constraint
-    ``(C+1)*gub*pu + gub*grb*pu*pr <= C^2 + C``.  For fixed relay power
-    the constraint is linear in user power and both min-branches increase
-    with it, so the inner optimum is the smaller of the box bound and the
-    constraint bound; the outer problem is a 1-D sweep over relay power
-    refined by golden section around the incumbent.
+    Maximizes ``min(pu*gub + pr*grb, pu*gur)`` over the power box and the
+    DF region ``(C+1)*gub*pu + gub*grb*pu*pr <= C^2 + C``.  At relay power
+    ``r`` the best user power is ``min(u_hi, cap)``, ``cap = (C^2 + C)/(gub*t)``,
+    ``t = C+1 + grb*r``.  Up to the kink ``r*`` (``cap = u_hi``) the objective
+    does not decrease and is flat from ``u_hi*(gur - gub)/grb`` on.  Beyond
+    ``r*`` it is ``min(A, B)``: ``A = (C^2 + C)/t + t - (C+1)`` is convex and
+    increasing (``t >= C+1``), ``B = cap*gur`` decreases, so they cross at
+    most once, at the larger root of ``t^2 - (C+1)*t + (C^2 + C)*(gub - gur)/gub``.
+    The optimum is thus exactly one of ``{r_lo, flat start, r*, crossing,
+    r_top}`` clipped to ``[r_lo, r_top]``; the first best wins, so ties take
+    the least relay power.  With ``grb == 0`` the objective ignores ``r``
+    and ``r_lo`` is returned.
 
     Returns ``(p_user, p_relay, snr_df)``.
     """
@@ -215,40 +222,25 @@ def solve_df_subproblem(
     def user_cap(p_relay):
         return bound / (gub * ((c_th + 1.0) + grb * p_relay))
 
-    # Largest relay power at which some feasible user power remains.
-    if u_lo > 0 and grb > 0:
-        r_cap = (bound / (gub * u_lo) - (c_th + 1.0)) / grb
-    else:
-        r_cap = np.inf
-    r_top = min(r_hi, r_cap)
-    r_top = max(r_top, r_lo)  # guaranteed nonempty by the ratio guard
+    def relay_at_cap(p_user):  # inverse of user_cap; needs grb > 0
+        return (bound / (gub * p_user) - (c_th + 1.0)) / grb
 
     def objective(p_relay):
         p_user = min(u_hi, user_cap(p_relay))
         return min(p_user * gub + p_relay * grb, p_user * gur)
 
-    grid = np.linspace(r_lo, r_top, _SWEEP_POINTS) if r_top > r_lo else np.array([r_lo])
-    values = np.array([objective(r) for r in grid])
-    best = int(np.argmax(values))
-
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(_GOLDEN_ITERS):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-    candidates = [(values[best], grid[best]), (f1, x1), (f2, x2)]
-    best_value, best_relay = max(candidates, key=lambda item: item[0])
+    candidates = [r_lo]
+    if grb > 0:
+        # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard).
+        r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
+        # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
+        disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
+        crossing = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + math.sqrt(max(disc, 0.0))))
+        points = (u_hi * (gur - gub) / grb, relay_at_cap(u_hi), crossing, r_top)
+        candidates += [min(max(r, r_lo), r_top) for r in points]
+    best_relay = max(candidates, key=objective)
     best_user = min(u_hi, user_cap(best_relay))
-    return float(best_user), float(best_relay), float(best_value)
+    return float(best_user), float(best_relay), float(objective(best_relay))
 
 
 def optimize_powers(
@@ -359,9 +351,7 @@ def solve_system(
         raise ValueError("solve_system requires at least one user")
     if len(gamma_ur_values) != len(users):
         raise ValueError("one gamma_ur realization is required per user")
-    if xi <= 0:
-        raise ValueError("xi must be positive")
-    c_th = 2.0 ** (2.0 * xi) - 1.0
+    c_th = snr_threshold(xi)
 
     p_user = np.empty(len(users))
     p_relay = np.empty(len(users))
@@ -373,7 +363,7 @@ def solve_system(
         p_user[k] = pu
         p_relay[k] = pr
         schemes.append(scheme)
-        snrs[k] = snr_af(pu, pr, triple) if scheme is Selection.AF else snr_df(pu, pr, triple)
+        snrs[k] = scheme_snr(scheme, pu, pr, triple)
 
     rate_mins = np.array([cfg.rate_min for cfg in users])
     bandwidth = allocate_bandwidth(snrs, rate_mins, total_bw)

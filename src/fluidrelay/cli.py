@@ -28,6 +28,7 @@ from .outage import (
     best_gain_cdf,
     op_surface,
     outage_probabilities,
+    snr_threshold,
 )
 from .scenario import build_scenario, load_scenario
 from .seeding import derive_seed
@@ -71,11 +72,9 @@ def _emit(header, rows, out_path: str | None) -> None:
 def cmd_op_surface(args) -> int:
     spec = load_scenario(args.scenario)
     scenario_xi = args.xi if args.xi is not None else spec.xi
-    if scenario_xi <= 0:
-        raise ValueError("--xi must be positive")
+    c_th = snr_threshold(scenario_xi)
     corr = build_correlation(spec.grid)
     budget = spec.users[0].budget
-    c_th = 2.0 ** (2.0 * scenario_xi) - 1.0
     pu_lo, pu_hi = args.pu_range if args.pu_range else (0.0, 3.0 * c_th / budget.gamma_bar_ub)
     pr_lo, pr_hi = args.pr_range if args.pr_range else (0.0, 3.0 * c_th / budget.gamma_bar_rb)
     if pu_hi < pu_lo or pr_hi < pr_lo or pu_lo < 0 or pr_lo < 0:
@@ -121,7 +120,7 @@ def cmd_validate(args) -> int:
         all_ok &= ok
         rows.append(("cdf", point.x, None, None, "", analytic, point.cdf, point.std_err, tolerance, ok))
 
-    c_th = 2.0 ** (2.0 * spec.xi) - 1.0
+    c_th = snr_threshold(spec.xi)
     # Two probes below the feasibility boundary (deterministic OP = 1)
     # and two inside the body of the best-gain CDF, where the copula
     # actually gets exercised.

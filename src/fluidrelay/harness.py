@@ -28,14 +28,13 @@ from .allocator import (
     derive_min_powers,
     optimize_powers,
     scheme_region,
-    snr_af,
-    snr_df,
+    scheme_snr,
     solve_system,
     _rate_scale,
 )
 from .channel import CorrelationMatrix, PortGrid, build_correlation, sample_gains
 from .errors import InfeasibleError
-from .outage import LinkBudget, OutageQuery, Selection, mean_snr_sum
+from .outage import LinkBudget, OutageQuery, Selection, mean_snr_sum, snr_threshold
 from .seeding import substream
 
 PROPOSED = "proposed"
@@ -73,8 +72,7 @@ class Scenario:
             raise ValueError("scenario requires at least one user")
         if self.total_bw <= 0:
             raise ValueError("total bandwidth must be positive")
-        if self.xi <= 0:
-            raise ValueError("xi must be positive")
+        snr_threshold(self.xi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -83,7 +81,7 @@ class Scenario:
 
     @property
     def c_th(self) -> float:
-        return 2.0 ** (2.0 * self.xi) - 1.0
+        return snr_threshold(self.xi)
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def random_scenario(
     scaling of the maxima.
     """
     rng = substream(seed, 0xA1FA)
-    c_th = 2.0 ** (2.0 * xi) - 1.0
+    c_th = snr_threshold(xi)
     budgets = []
     for _ in range(num_users):
         budgets.append(
@@ -285,7 +283,7 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas) -> list[float]:
     for user, gamma_ur in zip(users, gammas):
         triple = SnrTriple.from_budget(user.budget, gamma_ur)
         pu, pr, scheme = optimize_powers(user, triple, c_th)
-        snr = snr_af(pu, pr, triple) if scheme is Selection.AF else snr_df(pu, pr, triple)
+        snr = scheme_snr(scheme, pu, pr, triple)
         rates.append(0.5 * share * float(_rate_scale(snr)))
     for user, rate in zip(users, rates):
         if rate < user.rate_min:
@@ -305,13 +303,13 @@ def _solve_random_power(users, total_bw, c_th, gammas, seed, trial) -> list[floa
         pr = rng.uniform(user.p_relay_min, user.p_relay_max)
         triple = SnrTriple.from_budget(user.budget, gamma_ur)
         scheme = scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
-        snrs.append(snr_af(pu, pr, triple) if scheme is Selection.AF else snr_df(pu, pr, triple))
+        snrs.append(scheme_snr(scheme, pu, pr, triple))
     bandwidth = allocate_bandwidth(snrs, [u.rate_min for u in users], total_bw)
     return [0.5 * b * float(_rate_scale(s)) for b, s in zip(bandwidth, snrs)]
 
 
 def _run_trial(users, corr, total_bw, xi, scheme, seed, trial) -> TrialRecord:
-    c_th = 2.0 ** (2.0 * xi) - 1.0
+    c_th = snr_threshold(xi)
     gammas = draw_gamma_ur(users, corr, seed, trial)
     try:
         if scheme in (PROPOSED, TAS):

@@ -26,6 +26,7 @@ of inheriting the CDF engine's sampling noise.
 from __future__ import annotations
 
 import enum
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -40,6 +41,17 @@ from .seeding import derive_seed
 # error below the engine tolerance.
 _MARGINAL_LO = 1e-12
 _MARGINAL_HI = 1.0 - 1e-12
+
+
+def snr_threshold(xi: float) -> float:
+    """SNR threshold ``2^(2*xi) - 1`` of the half-duplex rate threshold ``xi``.
+
+    Raises ValueError unless ``0 < xi < 512`` (which rejects NaN and inf);
+    from ``xi = 512`` on, ``2^(2*xi)`` overflows a double.
+    """
+    if not 0 < xi < 512.0:
+        raise ValueError(f"rate threshold xi must lie in (0, 512), got {xi}")
+    return 2.0 ** (2.0 * xi) - 1.0
 
 
 class Selection(str, enum.Enum):
@@ -65,8 +77,9 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("alpha_ur", "alpha_ub", "alpha_rb", "sigma2_relay", "sigma2_bs"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
     @property
     def gamma_bar_ub(self) -> float:
@@ -88,15 +101,14 @@ class OutageQuery:
     xi: float
 
     def __post_init__(self):
-        if self.p_user < 0 or self.p_relay < 0:
-            raise ValueError("transmit powers must be nonnegative")
-        if self.xi <= 0:
-            raise ValueError(f"outage threshold xi must be positive, got {self.xi}")
+        if not all(math.isfinite(p) and p >= 0 for p in (self.p_user, self.p_relay)):
+            raise ValueError("transmit powers must be finite and nonnegative")
+        snr_threshold(self.xi)
 
     @property
     def c_th(self) -> float:
         """SNR threshold 2^(2*xi) - 1 (half-duplex rate threshold xi)."""
-        return 2.0 ** (2.0 * self.xi) - 1.0
+        return snr_threshold(self.xi)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .allocator import UserConfig, derive_min_powers
 from .channel import PortGrid
 from .harness import SCHEMES, Scenario, SweepSpec
-from .outage import LinkBudget
+from .outage import LinkBudget, snr_threshold
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -217,7 +217,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
     Raises InfeasibleError when a user's maximum powers cannot reach the
     outage threshold at all.
     """
-    c_th = 2.0 ** (2.0 * spec.xi) - 1.0
+    c_th = snr_threshold(spec.xi)
     users = []
     for user in spec.users:
         if user.p_user_min is None or user.p_relay_min is None:

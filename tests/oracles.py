@@ -79,6 +79,38 @@ def df_subproblem_grid(cfg, s, c_th, steps=2000):
     return float(df.max())
 
 
+def df_subproblem_sweep(cfg, s, c_th):
+    """Max of the DF SNR along relay power by a 2049-point sweep plus golden section.
+
+    Same reduction as the package (user power at the smaller of its box
+    bound and the DF-region bound), but a numerical search over relay
+    power instead of a candidate set.
+    """
+    gub, gur, grb = s.gamma_ub, s.gamma_ur, s.gamma_rb
+    bound = c_th * c_th + c_th
+    r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
+    if cfg.p_user_min > 0 and grb > 0:
+        r_hi = min(r_hi, (bound / (gub * cfg.p_user_min) - (c_th + 1.0)) / grb)
+    r_hi = max(r_hi, r_lo)
+
+    def objective(r):
+        pu = np.minimum(cfg.p_user_max, bound / (gub * ((c_th + 1.0) + grb * r)))
+        return np.minimum(pu * gub + r * grb, pu * gur)
+
+    grid = np.linspace(r_lo, r_hi, 2049)
+    best = int(np.argmax(objective(grid)))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        x1 = hi - inv_phi * (hi - lo)
+        x2 = lo + inv_phi * (hi - lo)
+        if objective(x1) < objective(x2):
+            lo = x1
+        else:
+            hi = x2
+    return float(max(objective(grid[best]), objective(lo), objective(hi)))
+
+
 def _budget_for(gamma_ub, gamma_rb):
     """Unit-noise budget reproducing the requested mean SNRs per watt."""
     return LinkBudget(alpha_ur=1.0, alpha_ub=gamma_ub, alpha_rb=gamma_rb, sigma2_relay=1.0, sigma2_bs=1.0)

@@ -19,6 +19,7 @@ from fluidrelay import (
 
 from oracles import (
     df_subproblem_grid,
+    df_subproblem_sweep,
     lp_bandwidth,
     random_df_instance,
     random_power_instance,
@@ -30,6 +31,31 @@ TRIPLE = SnrTriple(gamma_ub=1.0, gamma_ur=2.0, gamma_rb=3.0)
 
 def unit_budget(gamma_ub=1.0, gamma_rb=1.0):
     return LinkBudget(alpha_ur=1.0, alpha_ub=gamma_ub, alpha_rb=gamma_rb, sigma2_relay=1.0, sigma2_bs=1.0)
+
+
+def split_box_instances(seed, count):
+    """Instances whose box the scheme-region curve splits, so optimize_powers solves the DF subproblem."""
+    rng = np.random.default_rng(seed)
+    while count:
+        cfg, s, c_th = random_power_instance(rng)
+        a = cfg.p_user_min * s.gamma_ub
+        b = cfg.p_relay_min * s.gamma_rb
+        max_corner = scheme_region(cfg.p_user_max, cfg.p_relay_max, c_th, s.gamma_ub, s.gamma_rb)
+        if max_corner is Selection.AF and (c_th + 1.0) * a + a * b <= c_th * c_th + c_th:
+            count -= 1
+            yield cfg, s, c_th
+
+
+def assert_df_point(cfg, s, c_th, result):
+    """The point lies in the box and the DF region, and the value is its DF SNR."""
+    pu, pr, value = result
+    slack = 1e-12
+    assert cfg.p_user_min * (1.0 - slack) <= pu <= cfg.p_user_max
+    assert cfg.p_relay_min <= pr <= cfg.p_relay_max
+    a = pu * s.gamma_ub
+    b = pr * s.gamma_rb
+    assert (c_th + 1.0) * a + a * b <= (c_th * c_th + c_th) * (1.0 + slack)
+    assert value == snr_df(pu, pr, s)
 
 
 class TestSnrFormulas:
@@ -66,6 +92,24 @@ class TestSnrFormulas:
             assert snr_af(pu, pr + dp, s) >= snr_af(pu, pr, s)
             assert snr_df(pu + dp, pr, s) >= snr_df(pu, pr, s)
             assert snr_df(pu, pr + dp, s) >= snr_df(pu, pr, s)
+
+
+class TestUserConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rate_min", np.nan),
+            ("rate_min", np.inf),
+            ("rate_min", -1.0),
+            ("p_user_max", np.nan),
+            ("p_user_max", np.inf),
+            ("p_relay_max", np.inf),
+        ],
+    )
+    def test_rejects_non_finite_or_negative(self, field, value):
+        fields = dict(budget=unit_budget(), p_user_max=1.0, p_relay_max=1.0, rate_min=0.0)
+        with pytest.raises(ValueError):
+            UserConfig(**dict(fields, **{field: value}))
 
 
 class TestAllocateBandwidth:
@@ -265,6 +309,39 @@ class TestDfSubproblem:
         s = SnrTriple(gamma_ub=5.0, gamma_ur=1.0, gamma_rb=5.0)
         with pytest.raises(ValueError):
             solve_df_subproblem(cfg, s, 1.0)  # min corner deep in AF region
+
+    def test_closed_form_not_below_sweep(self):
+        for cfg, s, c_th in split_box_instances(seed=21, count=400):
+            result = solve_df_subproblem(cfg, s, c_th)
+            assert_df_point(cfg, s, c_th, result)
+            assert result[2] >= df_subproblem_sweep(cfg, s, c_th) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "box, triple, expected",
+        [
+            # fixed relay power: the user power sits at the DF-region cap 2/2.5
+            ((0.2, 1.0, 0.5, 0.5), (1.0, 2.0, 1.0), (0.8, 0.5, 1.3)),
+            # gamma_rb = 0: the objective ignores relay power, r_lo is kept
+            ((0.2, 1.0, 0.1, 0.5), (1.0, 2.0, 0.0), (1.0, 0.1, 1.0)),
+            # gamma_ur < gamma_ub: flat up to the kink r* = 0.5, least relay power wins
+            ((0.1, 0.8, 0.1, 2.0), (1.0, 0.5, 1.0), (0.8, 0.1, 0.4)),
+            # kink r* = 0 left of the box: optimum at the branch crossing t = 1 + sqrt(5)
+            ((0.1, 1.0, 0.2, 3.0), (1.0, 3.0, 1.0),
+             (2.0 / (1.0 + 5.0 ** 0.5), 5.0 ** 0.5 - 1.0, 6.0 / (1.0 + 5.0 ** 0.5))),
+            # kink r* = 2 right of the box: user power stays at its maximum
+            ((0.1, 0.5, 0.1, 1.0), (1.0, 4.0, 1.0), (0.5, 1.0, 1.5)),
+        ],
+        ids=["fixed_relay_power", "gamma_rb_zero", "gamma_ur_below_gamma_ub", "kink_left", "kink_right"],
+    )
+    def test_explicit_cases(self, box, triple, expected):
+        pu_min, pu_max, pr_min, pr_max = box
+        cfg = UserConfig(unit_budget(), pu_max, pr_max, pu_min, pr_min, 0.0)
+        s = SnrTriple(*triple)
+        result = solve_df_subproblem(cfg, s, 1.0)
+        assert result == pytest.approx(expected, rel=1e-12)
+        assert_df_point(cfg, s, 1.0, result)
+        assert result[2] >= df_subproblem_sweep(cfg, s, 1.0) * (1.0 - 1e-12)
+        assert result[2] >= df_subproblem_grid(cfg, s, 1.0, steps=400)
 
     def test_matches_fine_grid(self):
         rng = np.random.default_rng(9)

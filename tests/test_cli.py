@@ -78,6 +78,28 @@ class TestOpSurface:
         rows = result.stdout.strip().split("\n")[1:]
         assert all(row.endswith("INFEASIBLE") for row in rows)
 
+    @pytest.mark.parametrize(
+        "command, scenario_xi, flags",
+        [
+            ("op-surface", 0.1, ("--xi", "600")),
+            ("op-surface", 600, ()),
+            ("optimize", 600, ()),
+        ],
+    )
+    def test_overflowing_xi_exit_2(self, tmp_path, command, scenario_xi, flags):
+        doc = base_doc(system={"total_bw_hz": 5e6, "xi_bits": scenario_xi, "seed": 11, "trials": 4})
+        path = write_doc(tmp_path, doc)
+        result = run_cli(command, path, *flags)
+        assert result.returncode == 2
+        assert "rate threshold xi must lie in (0, 512)" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_nan_xi_exit_2_names_xi(self, tmp_path):
+        path = write_doc(tmp_path, base_doc())
+        result = run_cli("op-surface", path, "--xi", "nan")
+        assert result.returncode == 2
+        assert "rate threshold xi must lie in (0, 512), got nan" in result.stderr
+
     def test_missing_file_exit_2(self):
         assert run_cli("op-surface", "/nonexistent/file.json").returncode == 2
 

@@ -21,7 +21,7 @@ from fluidrelay import (
     xi_df,
 )
 from fluidrelay.harness import empirical_best_gain_cdf
-from fluidrelay.outage import CopulaConfig
+from fluidrelay.outage import CopulaConfig, snr_threshold
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 XI_HALF = 0.5  # C_th = 1
@@ -54,6 +54,40 @@ class TestThresholds:
             return q.p_user * budget.gamma_bar_ub + hop * relay / (hop + relay + 1.0) - q.c_th
 
         assert brentq(af_snr_at_gain, 1e-9, 1e4) == pytest.approx(value, rel=1e-9)
+
+    def test_snr_threshold(self):
+        assert snr_threshold(XI_HALF) == 1.0
+        assert snr_threshold(0.1) == 2.0 ** 0.2 - 1.0
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf, 600.0])
+    def test_snr_threshold_rejects_bad_xi(self, xi):
+        with pytest.raises(ValueError, match="xi"):
+            snr_threshold(xi)
+
+    @pytest.mark.parametrize(
+        "field", ["alpha_ur", "alpha_ub", "alpha_rb", "sigma2_relay", "sigma2_bs"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_link_budget_rejects_non_finite_or_nonpositive(self, field, value):
+        fields = dict(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
+        with pytest.raises(ValueError, match=field):
+            LinkBudget(**dict(fields, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 1.0, 0.1),
+            (math.inf, 1.0, 0.1),
+            (1.0, math.nan, 0.1),
+            (1.0, -math.inf, 0.1),
+            (1.0, 1.0, math.nan),
+            (1.0, 1.0, math.inf),
+            (1.0, 1.0, 600.0),
+        ],
+    )
+    def test_outage_query_rejects_non_finite(self, args):
+        with pytest.raises(ValueError):
+            OutageQuery(*args)
 
     def test_xi_af_requires_positive_user_power(self):
         with pytest.raises(ValueError):

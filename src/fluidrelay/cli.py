@@ -75,8 +75,18 @@ def cmd_op_surface(args) -> int:
     c_th = snr_threshold(scenario_xi)
     corr = build_correlation(spec.grid)
     budget = spec.users[0].budget
-    pu_lo, pu_hi = args.pu_range if args.pu_range else (0.0, 3.0 * c_th / budget.gamma_bar_ub)
-    pr_lo, pr_hi = args.pr_range if args.pr_range else (0.0, 3.0 * c_th / budget.gamma_bar_rb)
+
+    def default_range(mean_snr: float) -> tuple[float, float]:
+        hi = 3.0 * c_th / mean_snr
+        if not math.isfinite(hi):
+            raise ValueError(
+                f"default power range 3*C_th/mean-SNR overflows at xi={scenario_xi}; "
+                "pass --pu-range and --pr-range"
+            )
+        return 0.0, hi
+
+    pu_lo, pu_hi = args.pu_range if args.pu_range else default_range(budget.gamma_bar_ub)
+    pr_lo, pr_hi = args.pr_range if args.pr_range else default_range(budget.gamma_bar_rb)
     if pu_hi < pu_lo or pr_hi < pr_lo or pu_lo < 0 or pr_lo < 0:
         raise ValueError("power ranges must satisfy 0 <= lo <= hi")
     config = CopulaConfig(

@@ -58,8 +58,11 @@ class MvnProblem:
             raise ValueError("upper_limits must not contain NaN")
         if not 0.0 < self.target_abs_error <= 0.1:
             raise ValueError(f"target_abs_error must be in (0, 0.1], got {self.target_abs_error}")
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be positive")
+        if self.max_samples < _NUM_SHIFTS:
+            raise ValueError(
+                f"max_samples must be at least {_NUM_SHIFTS} (one sample per lattice shift), "
+                f"got {self.max_samples}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         limits.setflags(write=False)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -41,6 +42,15 @@ from .seeding import derive_seed
 # error below the engine tolerance.
 _MARGINAL_LO = 1e-12
 _MARGINAL_HI = 1.0 - 1e-12
+
+# Exact memo of best_gain_cdf_estimate, keyed by (x, id(corr), config).
+# Each entry holds corr itself, so its id cannot be reused while the entry
+# lives.  Cleared when full.  Threads that miss on the same key compute
+# equal values (the engine is deterministic); the lock only keeps the
+# size check and the store together.
+_CDF_MEMO: dict[tuple, tuple[CorrelationMatrix, MvnEstimate]] = {}
+_CDF_MEMO_SIZE = 4096
+_CDF_MEMO_LOCK = threading.Lock()
 
 
 def snr_threshold(xi: float) -> float:
@@ -150,8 +160,14 @@ def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
             "INFEASIBLE_POWER",
             f"mean SNR sum {mean_snr_sum(q, lb):.6g} does not exceed threshold {c_th:.6g}",
         )
-    numerator = lb.sigma2_relay * (q.p_relay * lb.gamma_bar_rb + 1.0) * (c_th - q.p_user * lb.gamma_bar_ub)
-    return numerator / (lb.alpha_ur * q.p_user * margin)
+    relay_term = q.p_relay * lb.gamma_bar_rb + 1.0
+    shortfall = c_th - q.p_user * lb.gamma_bar_ub
+    value = lb.sigma2_relay * relay_term * shortfall / (lb.alpha_ur * q.p_user * margin)
+    if not math.isfinite(value):
+        # Both products overflow when C_th is huge (xi near 512); the same
+        # ratio grouped factor by factor stays in range.
+        value = (lb.sigma2_relay / lb.alpha_ur) * (relay_term / q.p_user) * (shortfall / margin)
+    return value
 
 
 def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
@@ -191,12 +207,20 @@ def best_gain_cdf_estimate(
     corr: CorrelationMatrix,
     config: CopulaConfig = CopulaConfig(),
 ) -> MvnEstimate:
-    """Like :func:`best_gain_cdf` but exposing the engine's error estimate."""
+    """Like :func:`best_gain_cdf` but exposing the engine's error estimate.
+
+    Repeated calls with equal ``x`` and ``config`` on the same ``corr``
+    object return the memoized estimate without running the engine again.
+    """
     if x < 0:
         raise ValueError(f"best-gain CDF argument must be >= 0, got {x}")
     if x == 0:
         # Max of nonnegative variables: P(max <= 0) = 0 exactly.
         return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
+    key = (float(x), id(corr), config)
+    entry = _CDF_MEMO.get(key)
+    if entry is not None:
+        return entry[1]
     marginal = -np.expm1(-x)
     marginal = min(max(marginal, _MARGINAL_LO), _MARGINAL_HI)
     z = std_normal_quantile(marginal)
@@ -207,7 +231,12 @@ def best_gain_cdf_estimate(
         max_samples=config.max_samples,
         seed=config.seed,
     )
-    return mvn_cdf(problem)
+    estimate = mvn_cdf(problem)
+    with _CDF_MEMO_LOCK:
+        if len(_CDF_MEMO) >= _CDF_MEMO_SIZE:
+            _CDF_MEMO.clear()
+        _CDF_MEMO[key] = (corr, estimate)
+    return estimate
 
 
 def outage_probabilities(
@@ -253,25 +282,23 @@ def op_surface(
 ) -> list[OpSurfacePoint]:
     """Outage probabilities over a power grid, row-major in (p_user, p_relay).
 
-    Each grid point gets an independent engine seed derived from its grid
-    coordinates, so the table does not depend on evaluation order or
-    thread count.
+    Every grid point uses the caller's ``config``, so the whole map shares
+    one engine seed (common random numbers): points with equal thresholds
+    get equal probabilities, and a repeated threshold (the DF threshold
+    depends on ``p_user`` only) is evaluated once, through the memo of
+    :func:`best_gain_cdf_estimate`.  The table does not depend on
+    evaluation order or thread count.
     """
     p_user_values = [float(p) for p in p_user_values]
     p_relay_values = [float(p) for p in p_relay_values]
     if not p_user_values or not p_relay_values:
         raise ValueError("op_surface requires a nonempty power grid")
 
-    tasks = [
-        (i, j, pu, pr)
-        for i, pu in enumerate(p_user_values)
-        for j, pr in enumerate(p_relay_values)
-    ]
+    tasks = [(pu, pr) for pu in p_user_values for pr in p_relay_values]
 
     def evaluate(task):
-        i, j, pu, pr = task
-        point_config = replace(config, seed=derive_seed(config.seed, i, j))
-        result = outage_probabilities(OutageQuery(pu, pr, xi), lb, corr, point_config)
+        pu, pr = task
+        result = outage_probabilities(OutageQuery(pu, pr, xi), lb, corr, config)
         return OpSurfacePoint(p_user=pu, p_relay=pr, xi=xi, result=result)
 
     if n_threads is not None and n_threads > 1:

@@ -2,9 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+
+DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
 
 
 def base_doc(**overrides):
@@ -102,6 +106,35 @@ class TestOpSurface:
 
     def test_missing_file_exit_2(self):
         assert run_cli("op-surface", "/nonexistent/file.json").returncode == 2
+
+    def test_huge_xi_gives_finite_map(self):
+        # C_th ~ 1e301 overflows the products inside the AF threshold.
+        result = run_cli(
+            "op-surface", DEFAULT_SCENARIO, "--xi", "500", "--target-error", "5e-3",
+            "--threads", "1",
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [row.split(",") for row in result.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 400
+        assert all(math.isfinite(float(value)) for row in rows for value in row[:5])
+        assert {row[5] for row in rows} == {"AF", "DF", "INFEASIBLE"}
+
+    def test_overflowing_default_range_exit_2(self, tmp_path):
+        doc = base_doc()
+        doc["users"][0]["alpha_ub"] = 1e-24  # mean SNR 1e-9 per watt: 3*C_th/SNR overflows
+        path = write_doc(tmp_path, doc)
+        result = run_cli("op-surface", path, "--xi", "500")
+        assert result.returncode == 2
+        assert "overflows at xi=500.0" in result.stderr
+        assert "--pu-range" in result.stderr and "--pr-range" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_max_samples_below_one_per_shift_exit_2(self, tmp_path):
+        path = write_doc(tmp_path, base_doc())
+        result = run_cli("op-surface", path, "--steps", "3", "--max-samples", "5")
+        assert result.returncode == 2
+        assert "max_samples must be at least 12" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestValidate:

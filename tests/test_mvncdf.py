@@ -96,6 +96,13 @@ class TestMvnCdf:
         with pytest.raises(ValueError):
             MvnProblem(corr=pair_corr(0.1), upper_limits=np.zeros(3))
 
+    def test_max_samples_below_one_per_shift_rejected(self, pair_corr):
+        with pytest.raises(ValueError, match="at least 12"):
+            MvnProblem(corr=pair_corr(0.1), upper_limits=np.zeros(2), max_samples=11)
+        est = mvn_cdf(MvnProblem(corr=pair_corr(0.1), upper_limits=np.zeros(2), max_samples=12))
+        assert est.samples_used == 12
+        assert math.isfinite(est.est_error)
+
     def test_target_error_validation(self, pair_corr):
         with pytest.raises(ValueError):
             MvnProblem(corr=pair_corr(0.1), upper_limits=np.zeros(2), target_abs_error=0.5)

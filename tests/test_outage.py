@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,8 +22,25 @@ from fluidrelay import (
     xi_af,
     xi_df,
 )
+import fluidrelay.outage as outage
 from fluidrelay.harness import empirical_best_gain_cdf
-from fluidrelay.outage import CopulaConfig, snr_threshold
+from fluidrelay.outage import CopulaConfig, best_gain_cdf_estimate, snr_threshold
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Empty the CDF memo and count the engine calls made through ``outage``."""
+    calls = []
+    engine = outage.mvn_cdf
+
+    def counting(problem):
+        calls.append(problem)
+        return engine(problem)
+
+    monkeypatch.setattr(outage, "_CDF_MEMO", {})
+    monkeypatch.setattr(outage, "mvn_cdf", counting)
+    return calls
+
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 XI_HALF = 0.5  # C_th = 1
@@ -97,6 +116,13 @@ class TestThresholds:
         with pytest.raises(InfeasibleError):
             xi_af(OutageQuery(0.2, 0.2, XI_HALF), UNIT_BUDGET)
 
+    def test_xi_af_huge_threshold_stays_finite(self):
+        # C_th ~ 1.07e301: the direct products overflow to inf/inf.  With
+        # a = C_th/2 and b = C_th the ratio is (b+1)/p_u * (C_th-a)/margin = 2.
+        c_th = snr_threshold(500.0)
+        q = OutageQuery(c_th / 2.0, c_th, 500.0)
+        assert xi_af(q, UNIT_BUDGET) == pytest.approx(2.0, rel=1e-12)
+
     def test_xi_df_all_ones(self):
         assert xi_df(OutageQuery(1.0, 1.0, XI_HALF), UNIT_BUDGET) == pytest.approx(1.0)
 
@@ -145,6 +171,48 @@ class TestBestGainCdf:
             for point in empirical:
                 copula = best_gain_cdf(point.x, corr, CopulaConfig(seed=13))
                 assert abs(copula - point.cdf) <= 0.05
+
+
+class TestBestGainCdfMemo:
+    def test_repeat_reaches_engine_once(self, default_grid_corr, engine_calls):
+        config = CopulaConfig(target_abs_error=5e-3, seed=5)
+        first = best_gain_cdf_estimate(1.3, default_grid_corr, config)
+        again = best_gain_cdf_estimate(1.3, default_grid_corr, config)
+        assert len(engine_calls) == 1
+        assert again == first
+        assert best_gain_cdf(1.3, default_grid_corr, config) == first.value
+        assert len(engine_calls) == 1
+
+    def test_each_key_part_reaches_engine(self, default_grid_corr, pair_corr, engine_calls):
+        config = CopulaConfig(target_abs_error=5e-3, seed=5)
+        best_gain_cdf_estimate(1.3, default_grid_corr, config)
+        best_gain_cdf_estimate(1.4, default_grid_corr, config)
+        best_gain_cdf_estimate(1.3, default_grid_corr, CopulaConfig(target_abs_error=5e-3, seed=6))
+        best_gain_cdf_estimate(1.3, default_grid_corr, CopulaConfig(target_abs_error=4e-3, seed=5))
+        best_gain_cdf_estimate(1.3, pair_corr(0.3), config)
+        assert len(engine_calls) == 5
+        assert [problem.corr.dim for problem in engine_calls] == [16, 16, 16, 16, 2]
+
+    def test_threads_share_memo_consistently(self, pair_corr, engine_calls, monkeypatch):
+        monkeypatch.setattr(outage, "_CDF_MEMO_SIZE", 3)
+        corr = pair_corr(0.4)
+        config = CopulaConfig(target_abs_error=1e-2, seed=8)
+        xs = [0.3, 0.6, 0.9, 1.2, 1.5]
+        expected = {x: best_gain_cdf_estimate(x, corr, config) for x in xs}
+        work = [xs[i % len(xs)] for i in range(400)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda x: best_gain_cdf_estimate(x, corr, config), work, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[x] for x in work]
+        assert len(outage._CDF_MEMO) <= 3
+
+    def test_zero_threshold_skips_engine(self, default_grid_corr, engine_calls):
+        assert best_gain_cdf_estimate(0.0, default_grid_corr).value == 0.0
+        assert engine_calls == []
 
 
 class TestOutageProbabilities:
@@ -261,6 +329,24 @@ class TestOpSurface:
             [0.6, 1.2], [0.5, 1.5], XI_HALF, UNIT_BUDGET, default_grid_corr, config, n_threads=8
         )
         assert serial == threaded
+
+    def test_common_random_numbers_across_map(self, default_grid_corr, engine_calls):
+        config = CopulaConfig(target_abs_error=5e-3, seed=4)
+        p_users = [0.6, 0.9, 1.2]
+        p_relays = [0.2, 0.5, 1.0, 1.5]
+        points = op_surface(p_users, p_relays, XI_HALF, UNIT_BUDGET, default_grid_corr, config)
+        feasible = [p for p in points if p.result.selection is not Selection.INFEASIBLE]
+        assert len(feasible) > len(p_users)
+        for pu in p_users:
+            op_df = {p.result.op_df for p in feasible if p.p_user == pu}
+            assert len(op_df) == 1
+        thresholds = set()
+        for p in feasible:
+            q = OutageQuery(p.p_user, p.p_relay, XI_HALF)
+            thresholds.add(("df", xi_df(q, UNIT_BUDGET)))
+            if xi_af(q, UNIT_BUDGET) > 0:
+                thresholds.add(("af", xi_af(q, UNIT_BUDGET)))
+        assert len(engine_calls) == len(thresholds)
 
     def test_empty_grid_rejected(self, default_grid_corr):
         with pytest.raises(ValueError):

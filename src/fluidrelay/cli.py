@@ -150,10 +150,11 @@ def cmd_validate(args) -> int:
             seed=derive_seed(spec.seed, 200, j),
         )
         result = outage_probabilities(query, budget, corr, config)
-        for scheme, analytic in ((Selection.AF, result.op_af), (Selection.DF, result.op_df)):
-            emp = empirical_outage(
-                query, budget, corr, scheme, args.trials, derive_seed(spec.seed, 300, j)
-            )
+        sampled = empirical_outage(query, budget, corr, args.trials, derive_seed(spec.seed, 300, j))
+        for scheme, analytic, emp in (
+            (Selection.AF, result.op_af, sampled.op_af),
+            (Selection.DF, result.op_df, sampled.op_df),
+        ):
             std_err = math.sqrt(emp * (1.0 - emp) / args.trials)
             tolerance = max(_VALIDATION_BUDGET, 3.0 * std_err)
             ok = abs(analytic - emp) <= tolerance

@@ -34,7 +34,7 @@ from .allocator import (
 )
 from .channel import CorrelationMatrix, PortGrid, build_correlation, sample_gains
 from .errors import InfeasibleError
-from .outage import LinkBudget, OutageQuery, Selection, mean_snr_sum, snr_threshold
+from .outage import LinkBudget, OutageQuery, OutageResult, mean_snr_sum, select_scheme, snr_threshold
 from .seeding import substream
 
 PROPOSED = "proposed"
@@ -235,34 +235,36 @@ def empirical_outage(
     q: OutageQuery,
     lb: LinkBudget,
     corr: CorrelationMatrix,
-    scheme: Selection,
     trials: int,
     seed: int,
-) -> float:
-    """Monte Carlo outage probability under the analytic model's CSI rules.
+) -> OutageResult:
+    """Monte Carlo AF and DF outage probabilities under the analytic model's CSI rules.
 
-    Mean UB/RB SNRs are used exactly as the analytic OP does, so the
-    infeasible branch is deterministic (returns 1.0 with zero variance);
-    only the best-port gain is sampled.
+    Both schemes are evaluated on one draw of best-port gains.  Mean
+    UB/RB SNRs are used exactly as the analytic OP does, so the
+    infeasible branch is deterministic (both 1.0 with zero variance);
+    only the best-port gain is sampled.  ``selection`` is the closed-form
+    rule of ``select_scheme``, as in ``outage_probabilities``.
     """
     if trials < 10_000:
         raise ValueError("empirical outage needs at least 1e4 trials")
-    if scheme not in (Selection.AF, Selection.DF):
-        raise ValueError("scheme must be AF or DF")
+    selection = select_scheme(q, lb)
     c_th = q.c_th
     if mean_snr_sum(q, lb) <= c_th or q.p_user == 0:
-        return 1.0
+        return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     gains = _best_gain_samples(corr, trials, seed)
     gamma_ur = lb.alpha_ur * gains / lb.sigma2_relay
     direct = q.p_user * lb.gamma_bar_ub
     relay = q.p_relay * lb.gamma_bar_rb
-    if scheme is Selection.AF:
-        hop = q.p_user * gamma_ur
-        snr = direct + hop * relay / (hop + relay + 1.0)
-    else:
-        snr = np.minimum(direct + relay, q.p_user * gamma_ur)
+    hop = q.p_user * gamma_ur
+    af_snr = direct + hop * relay / (hop + relay + 1.0)
+    df_snr = np.minimum(direct + relay, hop)
     # 0.5*log2(1+snr) < xi is equivalent to snr < C_th.
-    return float(np.count_nonzero(snr < c_th) / trials)
+    return OutageResult(
+        op_af=float(np.count_nonzero(af_snr < c_th) / trials),
+        op_df=float(np.count_nonzero(df_snr < c_th) / trials),
+        selection=selection,
+    )
 
 
 def draw_gamma_ur(users, corr: CorrelationMatrix, seed: int, trial: int) -> list[float]:

@@ -2,14 +2,20 @@
 
 These deliberately avoid the package's own solution paths: bandwidth is
 checked against a generic LP, power control against exhaustive grid
-search over the power box with the selection rule applied pointwise, and
-special functions against series expansions.
+search over the power box with the selection rule applied pointwise,
+special functions against series expansions, and the blocked MVN kernel
+against the engine's earlier one-shift-at-a-time loop.
 """
+
+import math
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import ndtr, ndtri
 
-from fluidrelay import LinkBudget, SnrTriple, UserConfig, derive_min_powers
+from fluidrelay import LinkBudget, MvnEstimate, SnrTriple, UserConfig, derive_min_powers
+from fluidrelay.mvncdf import _BASE_LATTICE, _NUM_SHIFTS, _U_HI, _U_LO, _first_primes, _truncated_mean
+from fluidrelay.seeding import substream
 
 
 def j0_series(x: float, terms: int = 40) -> float:
@@ -179,3 +185,86 @@ def random_df_instance(rng):
             gamma_rb=b_min / pr_min,
         )
         return cfg, s, c_th
+
+
+def _reordered_cholesky(matrix, limits):
+    """Greedy pivoted Cholesky, each residual diagonal recomputed from its row."""
+    a = np.array(matrix, dtype=float)
+    b = np.array(limits, dtype=float)
+    n = b.size
+    factor = np.zeros((n, n))
+    y = np.zeros(n)
+    for i in range(n):
+        resid = np.diag(a)[i:] - np.sum(factor[i:, :i] ** 2, axis=1)
+        resid = np.maximum(resid, 1e-14)
+        conditional = (b[i:] - factor[i:, :i] @ y[:i]) / np.sqrt(resid)
+        j = i + int(np.argmin(conditional))
+        if j != i:
+            a[[i, j], :] = a[[j, i], :]
+            a[:, [i, j]] = a[:, [j, i]]
+            factor[[i, j], :i] = factor[[j, i], :i]
+            b[[i, j]] = b[[j, i]]
+        dii = max(a[i, i] - float(np.sum(factor[i, :i] ** 2)), 1e-14)
+        factor[i, i] = math.sqrt(dii)
+        if i + 1 < n:
+            factor[i + 1 :, i] = (a[i + 1 :, i] - factor[i + 1 :, :i] @ factor[i, :i]) / factor[i, i]
+        y[i] = _truncated_mean(float((b[i] - factor[i, :i] @ y[:i]) / factor[i, i]))
+    return factor, b
+
+
+def _sov_mean(factor, limits, points):
+    """Average the separation-of-variables integrand over lattice points."""
+    count = points.shape[0]
+    n = limits.size
+    e = np.full(count, ndtr(limits[0] / factor[0, 0]))
+    prob = e.copy()
+    quantiles = np.empty((count, n - 1))
+    for i in range(1, n):
+        u = np.clip(e * points[:, i - 1], _U_LO, _U_HI)
+        quantiles[:, i - 1] = ndtri(u)
+        conditional = (limits[i] - quantiles[:, :i] @ factor[i, :i]) / factor[i, i]
+        e = ndtr(conditional)
+        prob *= e
+    return float(prob.mean())
+
+
+def mvn_cdf_per_shift(problem):
+    """``mvn_cdf`` with each lattice shift integrated on its own, sample-major.
+
+    Same pivot rule, round schedule, substream keys and error formula as
+    the package, computed without its blocking, in-place updates or
+    residual reuse.  Finite limits and dimension >= 2 only.
+    """
+    limits = problem.upper_limits
+    assert limits.size >= 2 and np.all(np.isfinite(limits))
+    factor, limits = _reordered_cholesky(problem.corr.entries, limits)
+    n = limits.size
+    generator = np.sqrt(_first_primes(n - 1))
+    shift_sums = np.zeros(_NUM_SHIFTS)
+    weight = 0
+    samples_used = 0
+    round_idx = 0
+    while True:
+        budget_left = problem.max_samples - samples_used
+        if budget_left < _NUM_SHIFTS:
+            break
+        lattice_size = min(_BASE_LATTICE << round_idx, budget_left // _NUM_SHIFTS)
+        steps = np.arange(1, lattice_size + 1, dtype=float)[:, None] * generator[None, :]
+        for shift_idx in range(_NUM_SHIFTS):
+            shift = substream(problem.seed, round_idx, shift_idx).random(n - 1)
+            points = np.abs(2.0 * np.mod(steps + shift, 1.0) - 1.0)
+            shift_sums[shift_idx] += lattice_size * _sov_mean(factor, limits, points)
+        weight += lattice_size
+        samples_used += _NUM_SHIFTS * lattice_size
+        combined = shift_sums / weight
+        value = float(combined.mean())
+        est_error = 3.0 * float(combined.std(ddof=1)) / math.sqrt(_NUM_SHIFTS)
+        if est_error <= problem.target_abs_error or samples_used >= problem.max_samples:
+            break
+        round_idx += 1
+    return MvnEstimate(
+        value=min(max(value, 0.0), 1.0),
+        est_error=est_error,
+        samples_used=samples_used,
+        converged=bool(est_error <= problem.target_abs_error),
+    )

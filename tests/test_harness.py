@@ -11,6 +11,7 @@ from fluidrelay import (
     Selection,
     build_correlation,
 )
+from fluidrelay import harness
 from fluidrelay.harness import (
     AVG_BANDWIDTH,
     PROPOSED,
@@ -62,28 +63,37 @@ class TestEmpiricalCdf:
 class TestEmpiricalOutage:
     def test_infeasible_is_exactly_one(self, default_grid_corr):
         q = OutageQuery(0.2, 0.2, 0.5)
-        for scheme in (Selection.AF, Selection.DF):
-            assert empirical_outage(q, UNIT_BUDGET, default_grid_corr, scheme, 10_000, seed=1) == 1.0
+        result = empirical_outage(q, UNIT_BUDGET, default_grid_corr, 10_000, seed=1)
+        assert (result.op_af, result.op_df) == (1.0, 1.0)
+        assert result.selection is Selection.INFEASIBLE
 
     def test_direct_link_sufficient_af_never_fails(self, default_grid_corr):
         q = OutageQuery(1.5, 0.5, 0.5)  # p_user*gamma_ub = 1.5 > C_th = 1
-        assert empirical_outage(q, UNIT_BUDGET, default_grid_corr, Selection.AF, 10_000, seed=2) == 0.0
+        assert empirical_outage(q, UNIT_BUDGET, default_grid_corr, 10_000, seed=2).op_af == 0.0
 
     def test_matches_analytic_interior(self, default_grid_corr):
         q = OutageQuery(0.8, 0.7, 0.5)
         config = CopulaConfig(target_abs_error=1e-3, seed=5)
         analytic = outage_probabilities(q, UNIT_BUDGET, default_grid_corr, config)
         trials = 100_000
-        for scheme, value in ((Selection.AF, analytic.op_af), (Selection.DF, analytic.op_df)):
-            emp = empirical_outage(q, UNIT_BUDGET, default_grid_corr, scheme, trials, seed=6)
+        sampled = empirical_outage(q, UNIT_BUDGET, default_grid_corr, trials, seed=6)
+        assert sampled.selection is analytic.selection
+        for value, emp in ((analytic.op_af, sampled.op_af), (analytic.op_df, sampled.op_df)):
             sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials)
             assert abs(value - emp) <= max(0.05, 3.0 * sigma)
 
-    def test_scheme_validated(self, default_grid_corr):
-        with pytest.raises(ValueError):
-            empirical_outage(
-                OutageQuery(1.0, 1.0, 0.5), UNIT_BUDGET, default_grid_corr, Selection.INFEASIBLE, 10_000, 1
-            )
+    def test_one_draw_serves_both_schemes(self, default_grid_corr, monkeypatch):
+        draws = []
+        original = harness._best_gain_samples
+        monkeypatch.setattr(
+            harness, "_best_gain_samples", lambda *args: draws.append(args) or original(*args)
+        )
+        q = OutageQuery(0.8, 0.7, 0.5)
+        result = empirical_outage(q, UNIT_BUDGET, default_grid_corr, 10_000, seed=6)
+        assert draws == [(default_grid_corr, 10_000, 6)]
+        # With C_th = 1, AF fails iff p_user*gamma_ur < 0.68 and DF iff it is
+        # below 1, so on one common draw AF cannot fail more often.
+        assert 0.0 < result.op_af <= result.op_df < 1.0
 
 
 class TestScenario:

@@ -1,10 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import mvn_cdf_per_shift
 from scipy.special import ndtr
 
-from fluidrelay import CorrelationMatrix, MvnProblem, mvn_cdf, std_normal_quantile
+from fluidrelay import (
+    CorrelationMatrix,
+    MvnProblem,
+    PortGrid,
+    build_correlation,
+    mvn_cdf,
+    std_normal_quantile,
+)
+from fluidrelay.mvncdf import _truncated_mean
 
 
 def bivariate_orthant(rho: float) -> float:
@@ -131,3 +141,90 @@ class TestMvnCdf:
         assert not est.converged
         assert est.samples_used <= 20_000
         assert est.est_error > 1e-6
+
+    @pytest.mark.parametrize("far", [-1e10, -1e200])
+    def test_far_tail_finite_limit(self, far):
+        corr = build_correlation(PortGrid(2, 2, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mvn_cdf(MvnProblem(corr=corr, upper_limits=[far, 0.0, 0.0, 0.0]))
+        assert est.value == 0.0
+        assert math.isfinite(est.est_error)
+
+
+@pytest.mark.parametrize(
+    "cb, expected",
+    [
+        # -phi(cb)/Phi(cb) to 60 digits (mpmath), rounded to double
+        (-3.0, -3.2830986549304364),
+        (-40.0, -40.02496884720726),
+        (-999.0, -999.001000998995),
+        (-1001.0, -1001.000998999005),
+        (-1e10, -1e10),
+        (-1e200, -1e200),
+    ],
+)
+def test_truncated_mean_far_tail(cb, expected):
+    assert _truncated_mean(cb) == pytest.approx(expected, rel=1e-10)
+
+
+def _random_corr(rng, dim: int) -> CorrelationMatrix:
+    a = rng.standard_normal((dim, dim + 2))
+    cov = a @ a.T
+    scale = np.sqrt(np.diag(cov))
+    matrix = cov / np.outer(scale, scale)
+    matrix = 0.5 * (matrix + matrix.T)
+    np.fill_diagonal(matrix, 1.0)
+    return CorrelationMatrix(dim=dim, entries=matrix, factor=np.linalg.cholesky(matrix))
+
+
+def _assert_same_estimate(problem):
+    got = mvn_cdf(problem)
+    ref = mvn_cdf_per_shift(problem)
+    assert abs(got.value - ref.value) <= 1e-12 + 1e-12 * abs(ref.value)
+    assert got.est_error == pytest.approx(ref.est_error, rel=1e-8)
+    assert got.samples_used == ref.samples_used
+    assert got.converged == ref.converged
+    return got
+
+
+class TestBlockedKernel:
+    """The blocked kernel reproduces the one-shift-at-a-time engine."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9, 12, 16])
+    def test_random_correlation(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        problem = MvnProblem(
+            corr=_random_corr(rng, dim),
+            upper_limits=rng.uniform(-1.5, 1.5, dim),
+            target_abs_error=2e-4,
+            seed=dim,
+        )
+        _assert_same_estimate(problem)
+
+    def test_deep_tail(self, default_grid_corr):
+        limits = np.random.default_rng(7).normal(-7.0, 0.2, 16)
+        problem = MvnProblem(corr=default_grid_corr, upper_limits=limits, seed=3)
+        got = _assert_same_estimate(problem)
+        assert got.value == pytest.approx(mvn_cdf_per_shift(problem).value, rel=1e-10)
+
+    def test_round_split_across_blocks(self, default_grid_corr):
+        # Rounds 1 and 2 (1024 and 2048 points per shift) exceed one block.
+        problem = MvnProblem(
+            corr=default_grid_corr, upper_limits=np.full(16, 0.8), target_abs_error=2e-4, seed=5
+        )
+        assert _assert_same_estimate(problem).samples_used == 12 * (512 + 1024 + 2048)
+
+    def test_budget_truncated_last_round(self, default_grid_corr):
+        # Rounds of 512..16384 points use 387072 samples; the last round
+        # gets (500000 - 387072) // 12 = 9410 points per shift.
+        problem = MvnProblem(
+            corr=default_grid_corr,
+            upper_limits=np.full(16, 1.1),
+            target_abs_error=1e-6,
+            max_samples=500_000,
+            seed=4,
+        )
+        got = _assert_same_estimate(problem)
+        assert got.samples_used == 387_072 + 12 * 9410
+        assert not got.converged

@@ -51,13 +51,14 @@ class PortGrid:
         return self.n1 * self.n2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Port correlation matrix together with a lower-triangular factor.
 
     ``factor @ factor.T`` reproduces ``entries`` (after any regularization
     applied at build time) to within 1e-10 entrywise; the factor drives
-    both correlated sampling and the Gaussian-copula CDF.
+    both correlated sampling and the Gaussian-copula CDF.  Equality and
+    hashing are by identity, so a matrix can key the best-gain CDF memo.
     """
 
     dim: int

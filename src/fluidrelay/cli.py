@@ -2,7 +2,9 @@
 
 Every command reads a JSON scenario file, computes, and emits one CSV
 table (stdout or ``--out``).  Outputs are byte-deterministic for a fixed
-scenario and flags; ``--threads`` only changes how work is scheduled.
+scenario and flags.  ``--threads`` sets the number of ``op-surface``
+workers, which changes how that map is scheduled but not its bytes; the
+other commands run serially and ignore it.
 
 Exit codes: 0 ok, 2 input error, 3 numerical error, 4 validation
 failure, 5 infeasible.
@@ -243,7 +245,7 @@ def cmd_sweep(args) -> int:
     if spec.sweep is None:
         raise ValueError("missing key: sweep (the sweep command needs a sweep section)")
     scenario = build_scenario(spec)
-    result = run_sweep(scenario, spec.sweep, n_threads=args.threads)
+    result = run_sweep(scenario, spec.sweep)
     rows = [
         (row.sweep_value, row.scheme, row.trial, row.sum_rate, row.feasible)
         for row in result.rows
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count(),
-            help="worker threads (never affects output bytes)",
+            help="op-surface worker threads, one p_user row per task; other commands "
+            "ignore it (never affects output bytes)",
         )
         p.add_argument(
             "--target-error",

@@ -1,22 +1,18 @@
 """Monte Carlo validation, benchmark schemes, and parameter sweeps.
 
-Everything here is trial-indexed and embarrassingly parallel: trial ``t``
-of user ``k`` draws its channel from the substream ``(seed, t, k, 0)``
-and its random powers (random-power benchmark only) from
-``(seed, t, k, 1)``.  Streams never depend on the scheme, the sweep value
-or the worker count, which gives two properties for free:
-
-* byte-identical outputs at any thread count;
-* common random numbers across schemes and sweep values, so scheme
-  comparisons are per-trial comparisons (a 1x1-port grid consumes the
-  same leading draws as a larger grid, making the TAS benchmark the exact
-  degenerate case of the proposed scheme).
+Everything here is trial-indexed: trial ``t`` of user ``k`` draws its
+channel from the substream ``(seed, t, k, 0)`` and its random powers
+(random-power benchmark only) from ``(seed, t, k, 1)``.  Streams never
+depend on the scheme or the sweep value, which gives common random
+numbers across schemes and sweep values: scheme comparisons are
+per-trial comparisons (a 1x1-port grid consumes the same leading draws
+as a larger grid, making the TAS benchmark the exact degenerate case of
+the proposed scheme).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,7 +113,6 @@ class CdfPoint:
 class TrialRecord:
     trial: int
     sum_rate: float
-    rates: tuple[float, ...]
     feasible: bool
     reason: str = ""
 
@@ -171,20 +166,15 @@ def random_scenario(
     """
     rng = substream(seed, 0xA1FA)
     c_th = snr_threshold(xi)
-    budgets = []
-    for _ in range(num_users):
-        budgets.append(
-            LinkBudget(
-                alpha_ur=10.0 ** (rng.uniform(*alpha_ur_db) / 10.0),
-                alpha_ub=10.0 ** (rng.uniform(*alpha_ub_db) / 10.0),
-                alpha_rb=10.0 ** (rng.uniform(*alpha_rb_db) / 10.0),
-                sigma2_relay=sigma2_relay,
-                sigma2_bs=sigma2_bs,
-            )
-        )
-    budgets.sort(key=lambda b: (b.alpha_ub, b.alpha_ur, b.alpha_rb))
     users = []
-    for budget in budgets:
+    for _ in range(num_users):
+        budget = LinkBudget(
+            alpha_ur=10.0 ** (rng.uniform(*alpha_ur_db) / 10.0),
+            alpha_ub=10.0 ** (rng.uniform(*alpha_ub_db) / 10.0),
+            alpha_rb=10.0 ** (rng.uniform(*alpha_rb_db) / 10.0),
+            sigma2_relay=sigma2_relay,
+            sigma2_bs=sigma2_bs,
+        )
         pu_min, pr_min = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
         users.append(
             UserConfig(
@@ -196,7 +186,9 @@ def random_scenario(
                 rate_min=rate_min,
             )
         )
-    return Scenario(users=tuple(users), grid=grid, total_bw=total_bw, xi=xi, seed=seed, trials=trials)
+    return Scenario(
+        users=order_users_by_gain(users), grid=grid, total_bw=total_bw, xi=xi, seed=seed, trials=trials
+    )
 
 
 def order_users_by_gain(users) -> tuple[UserConfig, ...]:
@@ -315,45 +307,28 @@ def _run_trial(users, corr, total_bw, xi, scheme, seed, trial) -> TrialRecord:
     gammas = draw_gamma_ur(users, corr, seed, trial)
     try:
         if scheme in (PROPOSED, TAS):
-            result = solve_system(users, total_bw, xi, gammas)
-            rates = tuple(float(r) for r in result.rate)
+            rates = [float(r) for r in solve_system(users, total_bw, xi, gammas).rate]
         elif scheme == AVG_BANDWIDTH:
-            rates = tuple(_solve_average_bandwidth(users, total_bw, c_th, gammas))
+            rates = _solve_average_bandwidth(users, total_bw, c_th, gammas)
         elif scheme == RANDOM_POWER:
-            rates = tuple(_solve_random_power(users, total_bw, c_th, gammas, seed, trial))
+            rates = _solve_random_power(users, total_bw, c_th, gammas, seed, trial)
         else:
             raise ValueError(f"unknown benchmark scheme {scheme!r}")
     except InfeasibleError as err:
-        return TrialRecord(
-            trial=trial,
-            sum_rate=0.0,
-            rates=tuple(0.0 for _ in users),
-            feasible=False,
-            reason=err.reason,
-        )
-    return TrialRecord(trial=trial, sum_rate=float(sum(rates)), rates=rates, feasible=True)
+        return TrialRecord(trial=trial, sum_rate=0.0, feasible=False, reason=err.reason)
+    return TrialRecord(trial=trial, sum_rate=float(sum(rates)), feasible=True)
 
 
-def run_benchmark(
-    scenario: Scenario,
-    scheme: str,
-    seed: int,
-    n_threads: int | None = None,
-) -> list[TrialRecord]:
+def run_benchmark(scenario: Scenario, scheme: str, seed: int) -> list[TrialRecord]:
     """Per-trial sum rates for one scheme; infeasible trials carry zero rate."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown benchmark scheme {scheme!r}, expected one of {SCHEMES}")
     grid = PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
     corr = build_correlation(grid)
-
-    def worker(trial):
-        return _run_trial(scenario.users, corr, scenario.total_bw, scenario.xi, scheme, seed, trial)
-
-    trials = range(scenario.trials)
-    if n_threads is not None and n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(worker, trials))
-    return [worker(trial) for trial in trials]
+    return [
+        _run_trial(scenario.users, corr, scenario.total_bw, scenario.xi, scheme, seed, trial)
+        for trial in range(scenario.trials)
+    ]
 
 
 def _sweep_scenario(scenario: Scenario, variable: str, value) -> Scenario:
@@ -381,7 +356,7 @@ def _sweep_scenario(scenario: Scenario, variable: str, value) -> Scenario:
     raise ValueError(f"unknown sweep variable {variable!r}")
 
 
-def run_sweep(scenario: Scenario, spec: SweepSpec, n_threads: int | None = None) -> SweepResult:
+def run_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     """Long-format sum-rate table over (sweep value, scheme, trial).
 
     Channel substreams are keyed only by (seed, trial, user), so every
@@ -393,7 +368,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec, n_threads: int | None = None)
     for value in spec.values:
         derived = _sweep_scenario(scenario, spec.variable, value)
         for scheme in spec.schemes:
-            records = run_benchmark(derived, scheme, scenario.seed, n_threads=n_threads)
+            records = run_benchmark(derived, scheme, scenario.seed)
             feasible_rates = [r.sum_rate for r in records if r.feasible]
             for record in records:
                 rows.append(

@@ -26,8 +26,8 @@ of inheriting the CDF engine's sampling noise.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,15 +42,6 @@ from .seeding import derive_seed
 # error below the engine tolerance.
 _MARGINAL_LO = 1e-12
 _MARGINAL_HI = 1.0 - 1e-12
-
-# Exact memo of best_gain_cdf_estimate, keyed by (x, id(corr), config).
-# Each entry holds corr itself, so its id cannot be reused while the entry
-# lives.  Cleared when full.  Threads that miss on the same key compute
-# equal values (the engine is deterministic); the lock only keeps the
-# size check and the store together.
-_CDF_MEMO: dict[tuple, tuple[CorrelationMatrix, MvnEstimate]] = {}
-_CDF_MEMO_SIZE = 4096
-_CDF_MEMO_LOCK = threading.Lock()
 
 
 def snr_threshold(xi: float) -> float:
@@ -160,14 +151,22 @@ def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
             "INFEASIBLE_POWER",
             f"mean SNR sum {mean_snr_sum(q, lb):.6g} does not exceed threshold {c_th:.6g}",
         )
+    direct = q.p_user * lb.gamma_bar_ub
     relay_term = q.p_relay * lb.gamma_bar_rb + 1.0
-    shortfall = c_th - q.p_user * lb.gamma_bar_ub
+    shortfall = c_th - direct
     value = lb.sigma2_relay * relay_term * shortfall / (lb.alpha_ur * q.p_user * margin)
-    if not math.isfinite(value):
-        # Both products overflow when C_th is huge (xi near 512); the same
-        # ratio grouped factor by factor stays in range.
-        value = (lb.sigma2_relay / lb.alpha_ur) * (relay_term / q.p_user) * (shortfall / margin)
-    return value
+    if math.isfinite(value):
+        return value
+    scale = lb.sigma2_relay / lb.alpha_ur
+    if math.isinf(direct):
+        # shortfall / margin -> -1 as the direct mean SNR grows.
+        return -scale * (relay_term / q.p_user)
+    if math.isinf(relay_term):
+        # relay_term / margin -> 1 as the relay's mean SNR grows.
+        return scale * (shortfall / q.p_user)
+    # Both products overflow when C_th is huge (xi near 512); the same
+    # ratio grouped factor by factor stays in range.
+    return scale * (relay_term / q.p_user) * (shortfall / margin)
 
 
 def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
@@ -212,15 +211,24 @@ def best_gain_cdf_estimate(
     Repeated calls with equal ``x`` and ``config`` on the same ``corr``
     object return the memoized estimate without running the engine again.
     """
-    if x < 0:
-        raise ValueError(f"best-gain CDF argument must be >= 0, got {x}")
+    if not x >= 0:
+        raise ValueError(f"best-gain CDF argument x must be >= 0, got {x}")
     if x == 0:
         # Max of nonnegative variables: P(max <= 0) = 0 exactly.
         return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
-    key = (float(x), id(corr), config)
-    entry = _CDF_MEMO.get(key)
-    if entry is not None:
-        return entry[1]
+    return _cdf_estimate(float(x), corr, config)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cdf_estimate(x: float, corr: CorrelationMatrix, config: CopulaConfig) -> MvnEstimate:
+    """Engine estimate behind :func:`best_gain_cdf_estimate`, memoized.
+
+    ``CorrelationMatrix`` hashes by identity, so the key is the matrix
+    object itself.  Threads that miss on the same key compute equal
+    values (the engine is deterministic).  ``mvn_cdf`` is looked up at
+    call time, so a wrapper patched onto this module sees every engine
+    call.
+    """
     marginal = -np.expm1(-x)
     marginal = min(max(marginal, _MARGINAL_LO), _MARGINAL_HI)
     z = std_normal_quantile(marginal)
@@ -231,12 +239,7 @@ def best_gain_cdf_estimate(
         max_samples=config.max_samples,
         seed=config.seed,
     )
-    estimate = mvn_cdf(problem)
-    with _CDF_MEMO_LOCK:
-        if len(_CDF_MEMO) >= _CDF_MEMO_SIZE:
-            _CDF_MEMO.clear()
-        _CDF_MEMO[key] = (corr, estimate)
-    return estimate
+    return mvn_cdf(problem)
 
 
 def outage_probabilities(
@@ -286,22 +289,25 @@ def op_surface(
     one engine seed (common random numbers): points with equal thresholds
     get equal probabilities, and a repeated threshold (the DF threshold
     depends on ``p_user`` only) is evaluated once, through the memo of
-    :func:`best_gain_cdf_estimate`.  The table does not depend on
-    evaluation order or thread count.
+    :func:`best_gain_cdf_estimate`.  With ``n_threads`` > 1 each
+    ``p_user`` row is one pool task, so no two threads race on a row's
+    DF threshold.  The table does not depend on evaluation order or
+    thread count.
     """
     p_user_values = [float(p) for p in p_user_values]
     p_relay_values = [float(p) for p in p_relay_values]
     if not p_user_values or not p_relay_values:
         raise ValueError("op_surface requires a nonempty power grid")
 
-    tasks = [(pu, pr) for pu in p_user_values for pr in p_relay_values]
-
-    def evaluate(task):
-        pu, pr = task
-        result = outage_probabilities(OutageQuery(pu, pr, xi), lb, corr, config)
-        return OpSurfacePoint(p_user=pu, p_relay=pr, xi=xi, result=result)
+    def evaluate_row(pu):
+        return [
+            OpSurfacePoint(pu, pr, xi, outage_probabilities(OutageQuery(pu, pr, xi), lb, corr, config))
+            for pr in p_relay_values
+        ]
 
     if n_threads is not None and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(evaluate, tasks))
-    return [evaluate(task) for task in tasks]
+            rows = list(pool.map(evaluate_row, p_user_values))
+    else:
+        rows = map(evaluate_row, p_user_values)
+    return [point for row in rows for point in row]

@@ -222,7 +222,7 @@ def test_a09_end_to_end_trends():
 
     means = {}
     for scheme in (PROPOSED, TAS, AVG_BANDWIDTH, RANDOM_POWER):
-        records = run_benchmark(scenario, scheme, seed=scenario.seed, n_threads=8)
+        records = run_benchmark(scenario, scheme, seed=scenario.seed)
         rates = [r.sum_rate for r in records if r.feasible]
         assert len(rates) == scenario.trials
         means[scheme] = float(np.mean(rates))
@@ -230,7 +230,7 @@ def test_a09_end_to_end_trends():
         assert means[PROPOSED] > means[scheme], f"proposed must beat {scheme}"
 
     ports = run_sweep(scenario, SweepSpec(variable="num_ports", values=(1, 2, 3, 4),
-                                          schemes=(PROPOSED, TAS)), n_threads=8)
+                                          schemes=(PROPOSED, TAS)))
     first_proposed = [r.sum_rate for r in ports.rows if r.sweep_value == 1.0 and r.scheme == PROPOSED]
     first_tas = [r.sum_rate for r in ports.rows if r.sweep_value == 1.0 and r.scheme == TAS]
     assert first_proposed == first_tas, "side-1 grid must reproduce TAS exactly"
@@ -240,7 +240,7 @@ def test_a09_end_to_end_trends():
         assert hi.mean_sum_rate >= lo.mean_sum_rate - slack
 
     relay = run_sweep(scenario, SweepSpec(variable="relay_power_max", values=(0.05, 0.1, 0.2),
-                                          schemes=(PROPOSED,)), n_threads=8)
+                                          schemes=(PROPOSED,)))
     for lo, hi in zip(relay.summary, relay.summary[1:]):
         slack = 2.0 * math.hypot(lo.std_error, hi.std_error)
         assert hi.mean_sum_rate >= lo.mean_sum_rate - slack

@@ -2,14 +2,15 @@
 
 ``spans.Tracer`` rebinds layer functions by name and the benchmark fails a
 traced run when a function it predicts busy records no calls.  This test
-runs a small ``op-surface`` under the tracer, so a rename, or a cache that
-hides the engine call, fails here instead of in a benchmark run.
+runs each benchmark workload's command on a small input under the tracer,
+so a rename, a signature change, or a cache that hides the engine call,
+fails here instead of in a benchmark run.
 """
 
 import collections
 import importlib
+import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,14 @@ import fluidrelay.cli as cli
 import fluidrelay.outage as outage
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-DEFAULT_SCENARIO = PERFBENCH.parent / "scenarios" / "default.json"
+
+# Each workload's command with less work than the benchmark gives it; the
+# scenario is ``perfbench/base_scenario.json`` cut to two trials.
+SMALL_ARGV = {
+    "outage_map": ["op-surface", "--steps", "4", "--target-error", "5e-3"],
+    "copula_validate": ["validate", "--trials", "20000", "--points", "3", "--target-error", "5e-3"],
+    "rate_sweep": ["sweep"],
+}
 
 
 @pytest.fixture
@@ -35,22 +43,33 @@ def perfbench(monkeypatch):
     return spans, run
 
 
-def test_outage_map_busy_functions_record_calls(perfbench, monkeypatch, tmp_path):
+def test_every_workload_is_traced(perfbench):
+    _, run = perfbench
+    assert set(SMALL_ARGV) == set(run.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL_ARGV))
+def test_busy_functions_record_calls(perfbench, tmp_path, workload):
     spans, run = perfbench
-    monkeypatch.setattr(outage, "_CDF_MEMO", {})  # a memo warmed by another test hides mvn_cdf
+    doc = json.loads((PERFBENCH / "base_scenario.json").read_text())
+    doc["system"]["trials"] = 2
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    argv = SMALL_ARGV[workload] + [str(scenario), "--threads", "1", "--out", str(tmp_path / "out.csv")]
+    outage._cdf_estimate.cache_clear()  # a memo warmed by another test hides mvn_cdf
     tracer = spans.Tracer()
     tracer.install()
     try:
-        code = cli.main([
-            "op-surface", str(DEFAULT_SCENARIO), "--steps", "4", "--target-error", "5e-3",
-            "--threads", "1", "--out", str(tmp_path / "map.csv"),
-        ])
+        code = cli.main(argv)
     finally:
         tracer.uninstall()
     assert code == cli.EXIT_OK
     calls = collections.Counter(span.name for span in tracer.spans)
-    busy = run.WORKLOADS["outage_map"]["busy"]
+    busy = run.WORKLOADS[workload]["busy"]
     assert [name for name in busy if not calls[name]] == []
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["outage.points"] == 16
-    assert 0 < metrics["mvncdf.calls"] < metrics["outage.cdf_lookups"]
+    if workload == "outage_map":
+        assert metrics["outage.points"] == 16
+        assert 0 < metrics["mvncdf.calls"] < metrics["outage.cdf_lookups"]
+    if workload == "rate_sweep":
+        assert all(metrics[f"harness.trial_us.{scheme}"] > 0 for scheme in spans.SCHEMES)

@@ -145,6 +145,15 @@ class TestCorrelationMatrixValidation:
         with pytest.raises(ValueError):
             default_grid_corr.entries[0, 1] = 0.0
 
+    def test_hashes_and_compares_by_identity(self, default_grid_corr):
+        twin = CorrelationMatrix(
+            dim=default_grid_corr.dim, entries=default_grid_corr.entries, factor=default_grid_corr.factor
+        )
+        assert default_grid_corr == default_grid_corr
+        assert twin != default_grid_corr
+        assert hash(default_grid_corr) == hash(default_grid_corr)
+        assert len({default_grid_corr, twin, default_grid_corr}) == 2
+
 
 class TestSampling:
     def test_unit_mean_single_port(self):

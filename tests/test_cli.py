@@ -119,6 +119,27 @@ class TestOpSurface:
         assert all(math.isfinite(float(value)) for row in rows for value in row[:5])
         assert {row[5] for row in rows} == {"AF", "DF", "INFEASIBLE"}
 
+    @staticmethod
+    def map_rows(*ranges):
+        result = run_cli(
+            "op-surface", DEFAULT_SCENARIO, "--steps", "2", *ranges, "--target-error", "5e-3",
+            "--threads", "1",
+        )
+        assert result.returncode == 0, result.stderr
+        return [row.split(",") for row in result.stdout.strip().split("\n")[1:]]
+
+    def test_overflowing_relay_snr_takes_limit(self):
+        # p_r * gamma_rb overflows a double from p_r ~ 1.8e302 on.
+        rows = self.map_rows("--pu-range", "1e-5", "2e-5", "--pr-range", "1e306", "1e307")
+        finite = self.map_rows("--pu-range", "1e-5", "2e-5", "--pr-range", "1e290", "1e300")
+        assert [row[3:] for row in rows] == [row[3:] for row in finite]
+        assert {row[5] for row in rows} == {"AF"}
+
+    def test_overflowing_user_snr_gives_zero_af(self):
+        rows = self.map_rows("--pu-range", "1e306", "1e307", "--pr-range", "1e-3", "2e-3")
+        assert len(rows) == 4
+        assert all(row[3] == "0" and row[5] == "AF" for row in rows)
+
     def test_overflowing_default_range_exit_2(self, tmp_path):
         doc = base_doc()
         doc["users"][0]["alpha_ub"] = 1e-24  # mean SNR 1e-9 per watt: 3*C_th/SNR overflows

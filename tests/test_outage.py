@@ -24,6 +24,7 @@ from fluidrelay import (
 )
 import fluidrelay.outage as outage
 from fluidrelay.harness import empirical_best_gain_cdf
+from fluidrelay.mvncdf import MvnEstimate
 from fluidrelay.outage import CopulaConfig, best_gain_cdf_estimate, snr_threshold
 
 
@@ -37,13 +38,16 @@ def engine_calls(monkeypatch):
         calls.append(problem)
         return engine(problem)
 
-    monkeypatch.setattr(outage, "_CDF_MEMO", {})
+    outage._cdf_estimate.cache_clear()
     monkeypatch.setattr(outage, "mvn_cdf", counting)
-    return calls
+    yield calls
+    outage._cdf_estimate.cache_clear()  # entries made through the counting wrapper
 
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 XI_HALF = 0.5  # C_th = 1
+# User 0 of scenarios/default.json: gamma_ub = 2e3 and gamma_rb = 1e6 per watt.
+DEFAULT_USER0 = LinkBudget(alpha_ur=1e-9, alpha_ub=2e-12, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15)
 
 
 def xi_for_cth(c_th: float) -> float:
@@ -123,6 +127,23 @@ class TestThresholds:
         q = OutageQuery(c_th / 2.0, c_th, 500.0)
         assert xi_af(q, UNIT_BUDGET) == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p_user", [1e-5, 2e-5, 1e-3])
+    def test_xi_af_overflowing_relay_snr_takes_limit(self, p_user):
+        # p_r * gamma_rb overflows: relay_term / margin -> 1, a limit the
+        # finite form already reaches in double precision at p_r = 1e290.
+        q = OutageQuery(p_user, 1e307, 0.1)
+        limit = xi_af(OutageQuery(p_user, 1e290, 0.1), DEFAULT_USER0)
+        assert xi_af(q, DEFAULT_USER0) == pytest.approx(limit, rel=1e-12)
+        expected = scheme_region(p_user, 1e307, q.c_th, DEFAULT_USER0.gamma_bar_ub, DEFAULT_USER0.gamma_bar_rb)
+        assert select_scheme(q, DEFAULT_USER0) is expected is Selection.AF
+
+    @pytest.mark.parametrize("p_user, p_relay", [(1e306, 1e-3), (1e307, 2e-3), (1e307, 1e307)])
+    def test_xi_af_overflowing_direct_snr_is_nonpositive(self, p_user, p_relay):
+        q = OutageQuery(p_user, p_relay, 0.1)
+        assert xi_af(q, DEFAULT_USER0) <= 0.0
+        expected = scheme_region(p_user, p_relay, q.c_th, DEFAULT_USER0.gamma_bar_ub, DEFAULT_USER0.gamma_bar_rb)
+        assert select_scheme(q, DEFAULT_USER0) is expected is Selection.AF
+
     def test_xi_df_all_ones(self):
         assert xi_df(OutageQuery(1.0, 1.0, XI_HALF), UNIT_BUDGET) == pytest.approx(1.0)
 
@@ -193,8 +214,7 @@ class TestBestGainCdfMemo:
         assert len(engine_calls) == 5
         assert [problem.corr.dim for problem in engine_calls] == [16, 16, 16, 16, 2]
 
-    def test_threads_share_memo_consistently(self, pair_corr, engine_calls, monkeypatch):
-        monkeypatch.setattr(outage, "_CDF_MEMO_SIZE", 3)
+    def test_threads_share_memo_consistently(self, pair_corr, engine_calls):
         corr = pair_corr(0.4)
         config = CopulaConfig(target_abs_error=1e-2, seed=8)
         xs = [0.3, 0.6, 0.9, 1.2, 1.5]
@@ -208,7 +228,37 @@ class TestBestGainCdfMemo:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected[x] for x in work]
-        assert len(outage._CDF_MEMO) <= 3
+        assert len(engine_calls) == len(xs)
+
+    def test_memo_bounded_evicts_oldest(self, pair_corr, monkeypatch):
+        calls = []
+
+        def fake_engine(problem):
+            calls.append(problem)
+            return MvnEstimate(value=0.5, est_error=0.0, samples_used=12, converged=True)
+
+        outage._cdf_estimate.cache_clear()
+        monkeypatch.setattr(outage, "mvn_cdf", fake_engine)
+        try:
+            corr = pair_corr(0.2)
+            config = CopulaConfig(seed=3)
+            size = outage._cdf_estimate.cache_info().maxsize
+            assert size == 4096
+            xs = [0.001 * (i + 1) for i in range(size + 1)]
+            for x in xs:
+                best_gain_cdf_estimate(x, corr, config)
+            assert outage._cdf_estimate.cache_info().currsize == size
+            assert len(calls) == size + 1
+            best_gain_cdf_estimate(xs[-1], corr, config)  # newest: still cached
+            assert len(calls) == size + 1
+            best_gain_cdf_estimate(xs[0], corr, config)  # oldest: evicted
+            assert len(calls) == size + 2
+        finally:
+            outage._cdf_estimate.cache_clear()
+
+    def test_nan_argument_rejected(self, default_grid_corr):
+        with pytest.raises(ValueError, match="argument x must be >= 0, got nan"):
+            best_gain_cdf_estimate(math.nan, default_grid_corr)
 
     def test_zero_threshold_skips_engine(self, default_grid_corr, engine_calls):
         assert best_gain_cdf_estimate(0.0, default_grid_corr).value == 0.0
@@ -329,6 +379,22 @@ class TestOpSurface:
             [0.6, 1.2], [0.5, 1.5], XI_HALF, UNIT_BUDGET, default_grid_corr, config, n_threads=8
         )
         assert serial == threaded
+
+    def test_threads_make_serial_engine_calls(self, default_grid_corr, engine_calls):
+        # One task per p_user row: no two threads miss on a row's DF threshold.
+        config = CopulaConfig(target_abs_error=5e-3, seed=6)
+        args = ([0.6, 0.8, 1.0, 1.2], [0.3, 0.5, 0.8, 1.1, 1.5, 2.0], XI_HALF, UNIT_BUDGET, default_grid_corr, config)
+        serial = op_surface(*args)
+        serial_calls = len(engine_calls)
+        outage._cdf_estimate.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = op_surface(*args, n_threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert len(engine_calls) == 2 * serial_calls
 
     def test_common_random_numbers_across_map(self, default_grid_corr, engine_calls):
         config = CopulaConfig(target_abs_error=5e-3, seed=4)

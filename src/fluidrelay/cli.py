@@ -22,7 +22,7 @@ import numpy as np
 from .allocator import solve_system
 from .channel import build_correlation
 from .errors import InfeasibleError, NumericalError
-from .harness import draw_gamma_ur, empirical_best_gain_cdf, empirical_outage, run_sweep
+from .harness import TrialDraws, draw_gamma_ur, empirical_best_gain_cdf, empirical_outage, run_sweep
 from .outage import (
     CopulaConfig,
     OutageQuery,
@@ -186,7 +186,7 @@ def cmd_optimize(args) -> int:
     spec = load_scenario(args.scenario)
     scenario = build_scenario(spec)
     corr = build_correlation(scenario.grid)
-    gammas = draw_gamma_ur(scenario.users, corr, scenario.seed, 0)
+    gammas = draw_gamma_ur(scenario.users, corr, TrialDraws(scenario.seed), 0)
     result = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
     rows = []
     for k in range(len(scenario.users)):

@@ -8,6 +8,12 @@ numbers across schemes and sweep values: scheme comparisons are
 per-trial comparisons (a 1x1-port grid consumes the same leading draws
 as a larger grid, making the TAS benchmark the exact degenerate case of
 the proposed scheme).
+
+A ``TrialDraws`` object holds one run's draws: ``run_sweep`` builds one
+and passes it to every ``run_benchmark`` call, so each stream is derived
+once, each best-port gain is computed once per (grid, trial, user) and
+each random-power pair is drawn once per (trial, user), whatever the
+number of schemes and sweep values.
 """
 
 from __future__ import annotations
@@ -80,6 +86,15 @@ class Scenario:
         return snr_threshold(self.xi)
 
 
+def _check_sweep_value(variable: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{variable} sweep value {value!r} must be finite")
+    if variable in ("num_users", "num_ports") and (value != int(value) or value < 1):
+        raise ValueError(f"{variable} sweep value {value!r} must be a positive integer")
+    if variable == "relay_power_max" and value <= 0:
+        raise ValueError(f"relay_power_max sweep value {value!r} must be positive")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -92,6 +107,8 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise ValueError("sweep values must be nonempty")
+        for value in values:
+            _check_sweep_value(self.variable, value)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be strictly increasing")
         schemes = tuple(self.schemes)
@@ -259,15 +276,60 @@ def empirical_outage(
     )
 
 
-def draw_gamma_ur(users, corr: CorrelationMatrix, seed: int, trial: int) -> list[float]:
+class TrialDraws:
+    """One run's channel and random-power draws, each made once.
+
+    Each (trial, user) channel stream is derived once; its starting state
+    is restored before every grid samples from it, so each grid reads the
+    same draws as a freshly derived stream.  Best-port gains are kept per
+    (correlation, trial, user) and random-power uniform pairs per (trial,
+    user).  Correlation matrices are built once per grid, which keeps the
+    gain keys (matrices compare by identity) stable across calls.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._correlations: dict[PortGrid, CorrelationMatrix] = {}
+        self._channel_streams: dict[tuple[int, int], tuple[np.random.Generator, dict]] = {}
+        self._best_gains: dict[tuple[CorrelationMatrix, int, int], float] = {}
+        self._power_uniforms: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def correlation(self, grid: PortGrid) -> CorrelationMatrix:
+        corr = self._correlations.get(grid)
+        if corr is None:
+            corr = self._correlations[grid] = build_correlation(grid)
+        return corr
+
+    def best_gain(self, corr: CorrelationMatrix, trial: int, user: int) -> float:
+        """max |h|^2 over the ports of ``corr`` for the (trial, user) channel stream."""
+        key = (corr, trial, user)
+        best = self._best_gains.get(key)
+        if best is None:
+            stream = self._channel_streams.get((trial, user))
+            if stream is None:
+                rng = substream(self.seed, trial, user, _CHANNEL_TAG)
+                stream = self._channel_streams[(trial, user)] = (rng, rng.bit_generator.state)
+            rng, start = stream
+            rng.bit_generator.state = start
+            gains = sample_gains(corr, rng, 1)[0]
+            best = self._best_gains[key] = float(np.max(np.abs(gains) ** 2))
+        return best
+
+    def power_uniforms(self, trial: int, user: int) -> tuple[float, float]:
+        """The (p_user, p_relay) uniforms of the (trial, user) power stream."""
+        pair = self._power_uniforms.get((trial, user))
+        if pair is None:
+            rng = substream(self.seed, trial, user, _POWER_TAG)
+            pair = self._power_uniforms[(trial, user)] = (rng.random(), rng.random())
+        return pair
+
+
+def draw_gamma_ur(users, corr: CorrelationMatrix, draws: TrialDraws, trial: int) -> list[float]:
     """Per-user instantaneous user->relay normalized SNRs for one trial."""
-    gammas = []
-    for k, user in enumerate(users):
-        rng = substream(seed, trial, k, _CHANNEL_TAG)
-        gains = sample_gains(corr, rng, 1)[0]
-        best = float(np.max(np.abs(gains) ** 2))
-        gammas.append(user.budget.alpha_ur * best / user.budget.sigma2_relay)
-    return gammas
+    return [
+        user.budget.alpha_ur * draws.best_gain(corr, trial, k) / user.budget.sigma2_relay
+        for k, user in enumerate(users)
+    ]
 
 
 def _solve_average_bandwidth(users, total_bw, c_th, gammas) -> list[float]:
@@ -288,13 +350,14 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas) -> list[float]:
     return rates
 
 
-def _solve_random_power(users, total_bw, c_th, gammas, seed, trial) -> list[float]:
+def _solve_random_power(users, total_bw, c_th, gammas, draws, trial) -> list[float]:
     """Uniform random powers in the box, scheme by the selection rule."""
     snrs = []
     for k, (user, gamma_ur) in enumerate(zip(users, gammas)):
-        rng = substream(seed, trial, k, _POWER_TAG)
-        pu = rng.uniform(user.p_user_min, user.p_user_max)
-        pr = rng.uniform(user.p_relay_min, user.p_relay_max)
+        u_user, u_relay = draws.power_uniforms(trial, k)
+        # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
+        pu = user.p_user_min + (user.p_user_max - user.p_user_min) * u_user
+        pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * u_relay
         triple = SnrTriple.from_budget(user.budget, gamma_ur)
         scheme = scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
         snrs.append(scheme_snr(scheme, pu, pr, triple))
@@ -302,16 +365,16 @@ def _solve_random_power(users, total_bw, c_th, gammas, seed, trial) -> list[floa
     return [0.5 * b * float(_rate_scale(s)) for b, s in zip(bandwidth, snrs)]
 
 
-def _run_trial(users, corr, total_bw, xi, scheme, seed, trial) -> TrialRecord:
+def _run_trial(users, corr, total_bw, xi, scheme, draws, trial) -> TrialRecord:
     c_th = snr_threshold(xi)
-    gammas = draw_gamma_ur(users, corr, seed, trial)
+    gammas = draw_gamma_ur(users, corr, draws, trial)
     try:
         if scheme in (PROPOSED, TAS):
             rates = [float(r) for r in solve_system(users, total_bw, xi, gammas).rate]
         elif scheme == AVG_BANDWIDTH:
             rates = _solve_average_bandwidth(users, total_bw, c_th, gammas)
         elif scheme == RANDOM_POWER:
-            rates = _solve_random_power(users, total_bw, c_th, gammas, seed, trial)
+            rates = _solve_random_power(users, total_bw, c_th, gammas, draws, trial)
         else:
             raise ValueError(f"unknown benchmark scheme {scheme!r}")
     except InfeasibleError as err:
@@ -319,14 +382,24 @@ def _run_trial(users, corr, total_bw, xi, scheme, seed, trial) -> TrialRecord:
     return TrialRecord(trial=trial, sum_rate=float(sum(rates)), feasible=True)
 
 
-def run_benchmark(scenario: Scenario, scheme: str, seed: int) -> list[TrialRecord]:
-    """Per-trial sum rates for one scheme; infeasible trials carry zero rate."""
+def run_benchmark(
+    scenario: Scenario, scheme: str, seed: int, draws: TrialDraws | None = None
+) -> list[TrialRecord]:
+    """Per-trial sum rates for one scheme; infeasible trials carry zero rate.
+
+    ``draws`` shares one run's draws between calls; by default the call
+    makes its own.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown benchmark scheme {scheme!r}, expected one of {SCHEMES}")
+    if draws is None:
+        draws = TrialDraws(seed)
+    elif draws.seed != seed:
+        raise ValueError(f"draws were made for seed {draws.seed}, not {seed}")
     grid = PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
-    corr = build_correlation(grid)
+    corr = draws.correlation(grid)
     return [
-        _run_trial(scenario.users, corr, scenario.total_bw, scenario.xi, scheme, seed, trial)
+        _run_trial(scenario.users, corr, scenario.total_bw, scenario.xi, scheme, draws, trial)
         for trial in range(scenario.trials)
     ]
 
@@ -362,13 +435,15 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     Channel substreams are keyed only by (seed, trial, user), so every
     sweep value and scheme sees the same draws (common random numbers);
     the `num_ports` sweep at side 1 reproduces the TAS scheme exactly.
+    One ``TrialDraws`` serves every value and scheme.
     """
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
+    draws = TrialDraws(scenario.seed)
     for value in spec.values:
         derived = _sweep_scenario(scenario, spec.variable, value)
         for scheme in spec.schemes:
-            records = run_benchmark(derived, scheme, scenario.seed)
+            records = run_benchmark(derived, scheme, scenario.seed, draws)
             feasible_rates = [r.sum_rate for r in records if r.feasible]
             for record in records:
                 rows.append(

@@ -23,7 +23,8 @@ already-fixed variables).  This generalizes sorting the limits and cuts
 the integrand variance; estimates stay permutation-consistent within
 their error bound.  All randomness comes from seeded substreams keyed by
 (seed, round, shift), so results do not depend on scheduling or worker
-counts.
+counts; each round's shifts are drawn once per (seed, round, dimension)
+and shared by every call that asks for them.
 """
 
 from __future__ import annotations
@@ -117,6 +118,18 @@ def _lattice_generator(dim: int) -> np.ndarray:
     generator = np.sqrt(_first_primes(dim))
     generator.setflags(write=False)
     return generator
+
+
+@functools.lru_cache(maxsize=256)
+def _round_shifts(seed: int, round_idx: int, dims: int) -> np.ndarray:
+    """A round's Cranley-Patterson shifts, shape (_NUM_SHIFTS, dims) (read-only).
+
+    Row ``s`` is ``substream(seed, round_idx, s).random(dims)``; callers
+    that share an engine seed (a whole ``op_surface`` map) share the rows.
+    """
+    shifts = np.array([substream(seed, round_idx, s).random(dims) for s in range(_NUM_SHIFTS)])
+    shifts.setflags(write=False)
+    return shifts
 
 
 def _truncated_mean(cb: float) -> float:
@@ -232,9 +245,7 @@ def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
         lattice_size = min(_BASE_LATTICE << round_idx, budget_left // _NUM_SHIFTS)
         frac = np.multiply.outer(generator, np.arange(1, lattice_size + 1, dtype=float))
         np.mod(frac, 1.0, out=frac)
-        shifts = np.array(
-            [substream(problem.seed, round_idx, shift_idx).random(n - 1) for shift_idx in range(_NUM_SHIFTS)]
-        )
+        shifts = _round_shifts(problem.seed, round_idx, n - 1)
         per_block = max(1, _BLOCK_ROWS // lattice_size)
         for start in range(0, _NUM_SHIFTS, per_block):
             block = slice(start, start + per_block)

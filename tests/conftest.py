@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,13 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# pyproject's ``pythonpath`` reaches only this process; the CLI tests start
+# ``python -m fluidrelay`` in subprocesses, which find the package through
+# PYTHONPATH instead.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 from fluidrelay import CorrelationMatrix, PortGrid, build_correlation
 

@@ -3,8 +3,9 @@
 These deliberately avoid the package's own solution paths: bandwidth is
 checked against a generic LP, power control against exhaustive grid
 search over the power box with the selection rule applied pointwise,
-special functions against series expansions, and the blocked MVN kernel
-against the engine's earlier one-shift-at-a-time loop.
+special functions against series expansions, the blocked MVN kernel
+against the engine's earlier one-shift-at-a-time loop, and the sweep's
+shared draws against one fresh stream per (scheme, trial, user).
 """
 
 import math
@@ -14,6 +15,10 @@ from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
 from fluidrelay import LinkBudget, MvnEstimate, SnrTriple, UserConfig, derive_min_powers
+from fluidrelay import harness
+from fluidrelay.allocator import allocate_bandwidth, scheme_region, scheme_snr, solve_system, _rate_scale
+from fluidrelay.channel import PortGrid, build_correlation, sample_gains
+from fluidrelay.errors import InfeasibleError
 from fluidrelay.mvncdf import _BASE_LATTICE, _NUM_SHIFTS, _U_HI, _U_LO, _first_primes, _truncated_mean
 from fluidrelay.seeding import substream
 
@@ -268,3 +273,38 @@ def mvn_cdf_per_shift(problem):
         samples_used=samples_used,
         converged=bool(est_error <= problem.target_abs_error),
     )
+
+
+def run_benchmark_per_trial(scenario, scheme, seed):
+    """``run_benchmark`` as it was before ``TrialDraws``: every (scheme,
+    trial, user) derives its own channel and power substreams and draws
+    its gains on its own grid."""
+    grid = PortGrid(1, 1, 0.0, 0.0) if scheme == harness.TAS else scenario.grid
+    corr = build_correlation(grid)
+    c_th = scenario.c_th
+    records = []
+    for trial in range(scenario.trials):
+        gammas = []
+        for k, user in enumerate(scenario.users):
+            gains = sample_gains(corr, substream(seed, trial, k, 0), 1)[0]
+            gammas.append(user.budget.alpha_ur * float(np.max(np.abs(gains) ** 2)) / user.budget.sigma2_relay)
+        try:
+            if scheme in (harness.PROPOSED, harness.TAS):
+                rates = [float(r) for r in solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas).rate]
+            elif scheme == harness.AVG_BANDWIDTH:
+                rates = harness._solve_average_bandwidth(scenario.users, scenario.total_bw, c_th, gammas)
+            else:
+                snrs = []
+                for k, (user, gamma_ur) in enumerate(zip(scenario.users, gammas)):
+                    rng = substream(seed, trial, k, 1)
+                    pu = rng.uniform(user.p_user_min, user.p_user_max)
+                    pr = rng.uniform(user.p_relay_min, user.p_relay_max)
+                    triple = SnrTriple.from_budget(user.budget, gamma_ur)
+                    snrs.append(scheme_snr(scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb), pu, pr, triple))
+                bandwidth = allocate_bandwidth(snrs, [u.rate_min for u in scenario.users], scenario.total_bw)
+                rates = [0.5 * b * float(_rate_scale(x)) for b, x in zip(bandwidth, snrs)]
+        except InfeasibleError as err:
+            records.append(harness.TrialRecord(trial=trial, sum_rate=0.0, feasible=False, reason=err.reason))
+            continue
+        records.append(harness.TrialRecord(trial=trial, sum_rate=float(sum(rates)), feasible=True))
+    return records

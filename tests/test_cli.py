@@ -250,6 +250,30 @@ class TestSweep:
         path = write_doc(tmp_path, doc)
         assert run_cli("sweep", path).returncode == 2
 
+    @pytest.mark.parametrize(
+        "variable, values, named",
+        [
+            ("num_ports", [1, math.inf], "num_ports sweep value inf"),
+            ("num_ports", [1, math.nan], "num_ports sweep value nan"),
+            ("num_ports", [1, 1.5], "num_ports sweep value 1.5"),
+            ("num_users", [1, 1.7], "num_users sweep value 1.7"),
+            ("relay_power_max", [-1, 0.1], "relay_power_max sweep value -1"),
+        ],
+    )
+    def test_invalid_sweep_value_exit_2_names_it(self, tmp_path, variable, values, named):
+        # json writes inf and nan as Infinity and NaN, which json.loads accepts.
+        path = write_doc(tmp_path, base_doc(sweep={"variable": variable, "values": values}))
+        result = run_cli("sweep", path)
+        assert result.returncode == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_integral_float_port_count_runs(self, tmp_path):
+        doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2.0], "schemes": ["proposed"]})
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 0
+        assert len(result.stdout.strip().split("\n")) == 1 + 2 * 4
+
 
 class TestDeterminism:
     def test_sweep_bytes_identical_across_threads(self, tmp_path):

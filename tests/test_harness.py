@@ -1,7 +1,10 @@
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import run_benchmark_per_trial
 
 from fluidrelay import (
     CorrelationMatrix,
@@ -20,6 +23,7 @@ from fluidrelay.harness import (
     TAS,
     Scenario,
     SweepSpec,
+    TrialDraws,
     empirical_best_gain_cdf,
     empirical_outage,
     random_scenario,
@@ -123,6 +127,27 @@ class TestScenario:
         with pytest.raises(ValueError):
             SweepSpec(variable="num_ports", values=(1, 2), schemes=("proposed", "best"))
 
+    @pytest.mark.parametrize(
+        "variable, value, words",
+        [
+            ("num_ports", math.inf, "inf must be finite"),
+            ("num_users", math.nan, "nan must be finite"),
+            ("relay_power_max", math.inf, "inf must be finite"),
+            ("num_ports", 1.5, "1.5 must be a positive integer"),
+            ("num_users", 1.7, "1.7 must be a positive integer"),
+            ("num_ports", 0, "0 must be a positive integer"),
+            ("relay_power_max", -1, "-1 must be positive"),
+            ("relay_power_max", 0.0, "0.0 must be positive"),
+        ],
+    )
+    def test_sweep_value_rejected_naming_it(self, variable, value, words):
+        with pytest.raises(ValueError, match=f"{variable} sweep value {words}"):
+            SweepSpec(variable=variable, values=(value,))
+
+    def test_integral_float_counts_accepted(self):
+        assert SweepSpec(variable="num_ports", values=(1, 2.0)).values == (1, 2.0)
+        assert SweepSpec(variable="num_users", values=(3.0,)).values == (3.0,)
+
 
 @pytest.fixture(scope="module")
 def bench_scenario():
@@ -219,3 +244,94 @@ class TestSweeps:
         assert summary.trials_excluded == 6
         assert summary.mean_sum_rate == 0.0
         assert summary.std_error == 0.0
+
+
+def _bits(records):
+    return [(r.trial, r.sum_rate.hex(), r.feasible, r.reason) for r in records]
+
+
+# Rate floors near the sum-rate ceiling leave some trials infeasible
+# (INFEASIBLE_BANDWIDTH); zero minimum powers with a high threshold make
+# the power-controlled schemes INFEASIBLE_POWER.
+ORACLE_CASES = {
+    "tight_rate": lambda: random_scenario(num_users=4, seed=5, trials=8, rate_min=1e7),
+    "tas_edge": lambda: random_scenario(num_users=4, seed=5, trials=8, rate_min=8e6),
+    "loose": lambda: random_scenario(num_users=3, seed=31, trials=6, grid=PortGrid(3, 2, 1.5, 0.5)),
+}
+SWEEP_VALUES = {"num_users": (1, 2, 3), "num_ports": (1, 2, 3), "relay_power_max": (0.05, 0.1, 0.2)}
+
+
+class TestSharedDraws:
+    """One ``TrialDraws`` per sweep reproduces a fresh stream per (scheme, trial, user)."""
+
+    @pytest.mark.parametrize("variable", sorted(SWEEP_VALUES))
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_sweep_records_match_per_trial_oracle(self, monkeypatch, case, variable):
+        scenario = ORACLE_CASES[case]()
+        calls = []
+        original = harness.run_benchmark
+
+        def recording(derived, scheme, seed, draws=None):
+            records = original(derived, scheme, seed, draws)
+            calls.append((derived, scheme, seed, records))
+            return records
+
+        monkeypatch.setattr(harness, "run_benchmark", recording)
+        run_sweep(scenario, SweepSpec(variable=variable, values=SWEEP_VALUES[variable]))
+        assert len(calls) == len(SWEEP_VALUES[variable]) * len(SCHEMES)
+        for derived, scheme, seed, records in calls:
+            assert _bits(records) == _bits(run_benchmark_per_trial(derived, scheme, seed)), scheme
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_cases_cover_feasible_and_infeasible_trials(self, case):
+        scenario = ORACLE_CASES[case]()
+        feasible = Counter(r.feasible for s in SCHEMES for r in run_benchmark(scenario, s, scenario.seed))
+        if case == "loose":
+            assert feasible == Counter({True: 4 * scenario.trials})
+        else:
+            assert feasible[True] and feasible[False]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_own_draws_match_per_trial_oracle(self, scheme):
+        scenario = random_scenario(num_users=3, seed=19, trials=5, xi=2.0)
+        scenario = replace(
+            scenario, users=tuple(replace(u, p_user_min=0.0, p_relay_min=0.0) for u in scenario.users)
+        )
+        records = run_benchmark(scenario, scheme, scenario.seed)
+        assert _bits(records) == _bits(run_benchmark_per_trial(scenario, scheme, scenario.seed))
+        if scheme in (PROPOSED, TAS, AVG_BANDWIDTH):
+            assert {r.reason for r in records} == {"INFEASIBLE_POWER"}
+
+    @pytest.mark.parametrize(
+        "variable, values, schemes",
+        [
+            ("num_ports", (1, 2, 3), SCHEMES),
+            ("num_users", (1, 3), SCHEMES),
+            ("relay_power_max", (0.05, 0.2), (PROPOSED, AVG_BANDWIDTH)),
+        ],
+    )
+    def test_one_stream_per_trial_user_and_tag(self, monkeypatch, variable, values, schemes):
+        scenario = random_scenario(num_users=3, seed=23, trials=4)
+        derived = []
+        original = harness.substream
+        monkeypatch.setattr(harness, "substream", lambda *key: derived.append(key) or original(*key))
+        run_sweep(scenario, SweepSpec(variable=variable, values=values, schemes=schemes))
+        tags = Counter(key[-1] for key in derived)
+        trials_users = scenario.trials * len(scenario.users)
+        assert tags == Counter({0: trials_users, **({1: trials_users} if RANDOM_POWER in schemes else {})})
+        assert len(set(derived)) == len(derived)
+
+    def test_one_gain_draw_per_grid_trial_user(self, monkeypatch):
+        scenario = random_scenario(num_users=3, seed=23, trials=4)
+        draws = []
+        original = harness.sample_gains
+        monkeypatch.setattr(harness, "sample_gains", lambda *args: draws.append(args) or original(*args))
+        run_sweep(scenario, SweepSpec(variable="num_ports", values=(1, 2, 3)))
+        # Sides 1, 2, 3 and the TAS grid: four correlation matrices.
+        assert len(draws) == 4 * scenario.trials * len(scenario.users)
+        assert Counter(corr.dim for corr, _, _ in draws) == Counter({1: 24, 4: 12, 9: 12})
+
+    def test_draws_for_another_seed_rejected(self):
+        scenario = random_scenario(num_users=2, seed=3, trials=2)
+        with pytest.raises(ValueError, match="seed 4"):
+            run_benchmark(scenario, PROPOSED, scenario.seed, TrialDraws(4))

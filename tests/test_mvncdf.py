@@ -14,7 +14,8 @@ from fluidrelay import (
     mvn_cdf,
     std_normal_quantile,
 )
-from fluidrelay.mvncdf import _truncated_mean
+from fluidrelay.mvncdf import _NUM_SHIFTS, _round_shifts, _truncated_mean
+from fluidrelay.seeding import substream
 
 
 def bivariate_orthant(rho: float) -> float:
@@ -228,3 +229,21 @@ class TestBlockedKernel:
         got = _assert_same_estimate(problem)
         assert got.samples_used == 387_072 + 12 * 9410
         assert not got.converged
+
+
+class TestRoundShifts:
+    def test_cached_shifts_equal_fresh_draws_and_are_read_only(self):
+        shifts = _round_shifts(17, 2, 5)
+        fresh = np.array([substream(17, 2, s).random(5) for s in range(_NUM_SHIFTS)])
+        assert np.array_equal(shifts, fresh)
+        assert _round_shifts(17, 2, 5) is shifts
+        assert not shifts.flags.writeable
+        with pytest.raises(ValueError):
+            shifts[0, 0] = 0.5
+        assert _round_shifts.cache_info().maxsize is not None
+
+    def test_key_parts_select_distinct_shifts(self):
+        base = _round_shifts(17, 2, 5)
+        assert not np.array_equal(base, _round_shifts(18, 2, 5))
+        assert not np.array_equal(base, _round_shifts(17, 3, 5))
+        assert _round_shifts(17, 2, 6).shape == (_NUM_SHIFTS, 6)

@@ -8,9 +8,9 @@ boxes) decomposes:
    its power box -- valid because the residual-bandwidth objective is
    nondecreasing in every user's SNR;
 2. the relaying scheme at any power point follows the outage-minimizing
-   rule, which reduces to the closed-form region test of
-   :func:`scheme_region` (the AF region is the upper-right part of the
-   box, the DF region the lower-left, separated by one monotone curve);
+   rule, the closed-form boundary ``outage.af_df_boundary`` that
+   :func:`scheme_region` applies (the AF region is the upper-right part of
+   the box, the DF region the lower-left, separated by one monotone curve);
 3. bandwidth then has a closed form: every user gets exactly the slice
    its minimum rate needs, and the user with the highest SNR absorbs the
    residual.
@@ -28,9 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .outage import LinkBudget, Selection, snr_threshold
-
-_BISECTION_ITERS = 60
+from .outage import LinkBudget, Selection, af_df_boundary, mean_snr_sum, snr_threshold
 
 
 @dataclass(frozen=True)
@@ -136,22 +134,18 @@ def scheme_region(
 ) -> Selection:
     """Which scheme the outage rule picks at a feasible power point.
 
-    AF wins iff ``(C^2 + C) / ((C+1)*a + a*b) <= 1`` with ``a``/``b`` the
-    mean UB/RB SNRs; that ratio test is algebraically equivalent to
-    ``xi_af <= xi_df`` and the boundary equality is AF by the tie
-    convention.  The ratio is strictly decreasing in both powers, so the
-    AF region is the upper-right portion of any power box.
+    The rule of ``outage.select_scheme`` (:func:`~fluidrelay.outage.af_df_boundary`,
+    ties to AF), except that a mean SNR sum equal to C_th counts as feasible.
     """
     if p_user <= 0:
         raise ValueError("scheme_region requires p_user > 0")
-    a = p_user * gamma_bar_ub
-    b = p_relay * gamma_bar_rb
-    if a + b < c_th:
+    total = mean_snr_sum(p_user, p_relay, gamma_bar_ub, gamma_bar_rb)
+    if total < c_th:
         raise ValueError(
-            f"scheme_region requires a feasible point: mean SNR sum {a + b:.6g} < C_th {c_th:.6g}"
+            f"scheme_region requires a feasible point: mean SNR sum {total:.6g} < C_th {c_th:.6g}"
         )
-    # ratio <= 1 rearranged to avoid dividing by a possibly tiny denominator.
-    return Selection.AF if (c_th + 1.0) * a + a * b >= c_th * c_th + c_th else Selection.DF
+    direct = p_user * gamma_bar_ub
+    return Selection.AF if direct >= af_df_boundary(p_relay * gamma_bar_rb, c_th) else Selection.DF
 
 
 def derive_min_powers(
@@ -162,30 +156,27 @@ def derive_min_powers(
 ) -> tuple[float, float]:
     """Smallest (t * max) power pair whose mean SNR sum still meets C_th.
 
-    Bisects the scale t in (0, 1]; the returned pair always satisfies the
-    feasibility guard (the upper bracket end is kept).
+    ``t = C_th / S`` (``S`` the sum at maximum powers), raised one ulp at a
+    time until the returned pair passes the guard of :func:`optimize_powers`.
     """
-    full_sum = p_user_max * budget.gamma_bar_ub + p_relay_max * budget.gamma_bar_rb
+    gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
+    full_sum = mean_snr_sum(p_user_max, p_relay_max, gub, grb)
+    if not math.isfinite(full_sum):
+        raise ValueError(f"maximum powers give a non-finite mean SNR sum {full_sum}")
     if full_sum < c_th:
         raise InfeasibleError(
             "INFEASIBLE_POWER",
             f"even maximum powers give mean SNR sum {full_sum:.6g} < threshold {c_th:.6g}",
         )
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid * full_sum >= c_th:
-            hi = mid
-        else:
-            lo = mid
-    return hi * p_user_max, hi * p_relay_max
+    t = c_th / full_sum if c_th < full_sum else 1.0
+    while mean_snr_sum(t * p_user_max, t * p_relay_max, gub, grb) < c_th:
+        t = math.nextafter(t, math.inf)
+    return t * p_user_max, t * p_relay_max
 
 
 def _df_region_touches(p_user: float, p_relay: float, c_th: float, s: SnrTriple) -> bool:
-    """True when the region ratio at (p_user, p_relay) is >= 1 (weak DF)."""
-    a = p_user * s.gamma_ub
-    b = p_relay * s.gamma_rb
-    return (c_th + 1.0) * a + a * b <= c_th * c_th + c_th
+    """True when the point is on or below the AF/DF boundary (weakly DF)."""
+    return p_user * s.gamma_ub <= af_df_boundary(p_relay * s.gamma_rb, c_th)
 
 
 def solve_df_subproblem(
@@ -262,7 +253,7 @@ def optimize_powers(
     """
     if s.gamma_ub <= 0 or s.gamma_rb <= 0:
         raise ValueError("optimize_powers requires positive mean UB/RB SNRs")
-    guard = cfg.p_user_min * s.gamma_ub + cfg.p_relay_min * s.gamma_rb
+    guard = mean_snr_sum(cfg.p_user_min, cfg.p_relay_min, s.gamma_ub, s.gamma_rb)
     if guard < c_th:
         raise InfeasibleError(
             "INFEASIBLE_POWER",
@@ -297,32 +288,33 @@ def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
         raise ValueError("snrs and rate_mins must be 1-D vectors of equal length")
     if total_bw <= 0:
         raise ValueError("total bandwidth must be positive")
-    if np.any(snrs < 0):
+    snr_list = snrs.tolist()
+    if any(snr < 0 for snr in snr_list):
         raise ValueError("SNRs must be nonnegative")
-    zero_snr = snrs == 0
-    if np.any(zero_snr & (rate_mins > 0)):
-        bad = int(np.argmax(zero_snr & (rate_mins > 0)))
-        raise InfeasibleError(
-            "INFEASIBLE_BANDWIDTH",
-            f"user {bad} has zero SNR but a positive minimum rate",
-        )
+    rate_list = rate_mins.tolist()
+    for k, (snr, rate_min) in enumerate(zip(snr_list, rate_list)):
+        if snr == 0 and rate_min > 0:
+            raise InfeasibleError(
+                "INFEASIBLE_BANDWIDTH",
+                f"user {k} has zero SNR but a positive minimum rate",
+            )
 
-    scale = _rate_scale(snrs)
-    needs = np.zeros_like(snrs)
-    positive = rate_mins > 0
-    needs[positive] = 2.0 * rate_mins[positive] / scale[positive]
-    # Nudge each slice up until the realized rate meets the minimum exactly.
-    for k in np.flatnonzero(positive):
-        while 0.5 * needs[k] * scale[k] < rate_mins[k]:
-            needs[k] = np.nextafter(needs[k], np.inf)
+    needs = [0.0] * len(snr_list)
+    for k, (scale, rate_min) in enumerate(zip(_rate_scale(snrs).tolist(), rate_list)):
+        if rate_min > 0:
+            need = 2.0 * rate_min / scale
+            # Nudge the slice up until the realized rate meets the minimum exactly.
+            while 0.5 * need * scale < rate_min:
+                need = math.nextafter(need, math.inf)
+            needs[k] = need
 
     leader = int(np.argmax(snrs))
-    residual = total_bw - (needs.sum() - needs[leader])
-    bandwidth = needs.copy()
+    bandwidth = np.array(needs)
+    residual = float(total_bw - (bandwidth.sum() - needs[leader]))
     bandwidth[leader] = residual
     # Keep the summed total within the budget as an exact inequality.
     while bandwidth.sum() > total_bw:
-        residual = np.nextafter(residual, -np.inf)
+        residual = math.nextafter(residual, -math.inf)
         bandwidth[leader] = residual
     if residual < needs[leader]:
         raise InfeasibleError(

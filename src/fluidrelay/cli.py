@@ -4,7 +4,9 @@ Every command reads a JSON scenario file, computes, and emits one CSV
 table (stdout or ``--out``).  Outputs are byte-deterministic for a fixed
 scenario and flags.  ``--threads`` sets the number of ``op-surface``
 workers, which changes how that map is scheduled but not its bytes; the
-other commands run serially and ignore it.
+other commands run serially and ignore it.  ``--target-error`` and
+``--max-samples`` exist only on ``op-surface`` and ``validate``, the
+commands that evaluate the copula CDF, and are checked before any work.
 
 Exit codes: 0 ok, 2 input error, 3 numerical error, 4 validation
 failure, 5 infeasible.
@@ -16,12 +18,14 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .allocator import solve_system
 from .channel import build_correlation
 from .errors import InfeasibleError, NumericalError
+from .mvncdf import DEFAULT_MAX_SAMPLES, DEFAULT_TARGET_ABS_ERROR
 from .harness import TrialDraws, draw_gamma_ur, empirical_best_gain_cdf, empirical_outage, run_sweep
 from .outage import (
     CopulaConfig,
@@ -73,6 +77,7 @@ def _emit(header, rows, out_path: str | None) -> None:
 
 def cmd_op_surface(args) -> int:
     spec = load_scenario(args.scenario)
+    config = CopulaConfig(args.target_error, args.max_samples, spec.seed)  # checked before any work
     scenario_xi = args.xi if args.xi is not None else spec.xi
     c_th = snr_threshold(scenario_xi)
     corr = build_correlation(spec.grid)
@@ -91,9 +96,6 @@ def cmd_op_surface(args) -> int:
     pr_lo, pr_hi = args.pr_range if args.pr_range else default_range(budget.gamma_bar_rb)
     if pu_hi < pu_lo or pr_hi < pr_lo or pu_lo < 0 or pr_lo < 0:
         raise ValueError("power ranges must satisfy 0 <= lo <= hi")
-    config = CopulaConfig(
-        target_abs_error=args.target_error, max_samples=args.max_samples, seed=spec.seed
-    )
     points = op_surface(
         np.linspace(pu_lo, pu_hi, args.steps),
         np.linspace(pr_lo, pr_hi, args.steps),
@@ -113,6 +115,7 @@ def cmd_op_surface(args) -> int:
 
 def cmd_validate(args) -> int:
     spec = load_scenario(args.scenario)
+    config = CopulaConfig(args.target_error, args.max_samples, spec.seed)  # checked before any work
     corr = build_correlation(spec.grid)
     budget = spec.users[0].budget
     xs = np.geomspace(0.1, 5.0, args.points)
@@ -121,12 +124,7 @@ def cmd_validate(args) -> int:
     rows = []
     all_ok = True
     for i, point in enumerate(empirical):
-        config = CopulaConfig(
-            target_abs_error=args.target_error,
-            max_samples=args.max_samples,
-            seed=derive_seed(spec.seed, 100, i),
-        )
-        analytic = best_gain_cdf(point.x, corr, config)
+        analytic = best_gain_cdf(point.x, corr, replace(config, seed=derive_seed(spec.seed, 100, i)))
         tolerance = max(_VALIDATION_BUDGET, 3.0 * point.std_err)
         ok = abs(analytic - point.cdf) <= tolerance
         all_ok &= ok
@@ -146,12 +144,9 @@ def cmd_validate(args) -> int:
     ]
     for j, (p_user, p_relay) in enumerate(probes):
         query = OutageQuery(p_user=p_user, p_relay=p_relay, xi=spec.xi)
-        config = CopulaConfig(
-            target_abs_error=args.target_error,
-            max_samples=args.max_samples,
-            seed=derive_seed(spec.seed, 200, j),
+        result = outage_probabilities(
+            query, budget, corr, replace(config, seed=derive_seed(spec.seed, 200, j))
         )
-        result = outage_probabilities(query, budget, corr, config)
         sampled = empirical_outage(query, budget, corr, args.trials, derive_seed(spec.seed, 300, j))
         for scheme, analytic, emp in (
             (Selection.AF, result.op_af, sampled.op_af),
@@ -271,21 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
             help="op-surface worker threads, one p_user row per task; other commands "
             "ignore it (never affects output bytes)",
         )
+
+    def engine(p):
         p.add_argument(
             "--target-error",
             type=float,
-            default=1e-4,
+            default=DEFAULT_TARGET_ABS_ERROR,
             help="absolute error target for the copula CDF engine",
         )
         p.add_argument(
             "--max-samples",
             type=int,
-            default=2_000_000,
-            help="sample budget per copula CDF evaluation",
+            default=DEFAULT_MAX_SAMPLES,
+            help="sample budget per copula CDF evaluation (at least 12)",
         )
 
     p_surface = sub.add_parser("op-surface", help="outage probabilities over a power grid")
     common(p_surface)
+    engine(p_surface)
     p_surface.add_argument("--pu-range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
     p_surface.add_argument("--pr-range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
     p_surface.add_argument("--steps", type=int, default=20, help="grid points per power axis")
@@ -294,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="copula CDF and OP vs Monte Carlo")
     common(p_validate)
+    engine(p_validate)
     p_validate.add_argument("--trials", type=int, default=100_000)
     p_validate.add_argument("--points", type=int, default=9, help="CDF evaluation points in [0.1, 5]")
     p_validate.set_defaults(func=cmd_validate)

@@ -36,7 +36,7 @@ from .allocator import (
 )
 from .channel import CorrelationMatrix, PortGrid, build_correlation, sample_gains
 from .errors import InfeasibleError
-from .outage import LinkBudget, OutageQuery, OutageResult, mean_snr_sum, select_scheme, snr_threshold
+from .outage import LinkBudget, OutageQuery, OutageResult, Selection, select_scheme, snr_threshold
 from .seeding import substream
 
 PROPOSED = "proposed"
@@ -258,9 +258,9 @@ def empirical_outage(
     if trials < 10_000:
         raise ValueError("empirical outage needs at least 1e4 trials")
     selection = select_scheme(q, lb)
-    c_th = q.c_th
-    if mean_snr_sum(q, lb) <= c_th or q.p_user == 0:
+    if selection is Selection.INFEASIBLE or q.p_user == 0:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
+    c_th = q.c_th
     gains = _best_gain_samples(corr, trials, seed)
     gamma_ur = lb.alpha_ur * gains / lb.sigma2_relay
     direct = q.p_user * lb.gamma_bar_ub

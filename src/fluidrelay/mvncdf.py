@@ -49,6 +49,22 @@ _BLOCK_ROWS = 8192
 _U_LO = 1e-300
 _U_HI = 1.0 - 1e-16
 
+DEFAULT_TARGET_ABS_ERROR = 1e-4
+DEFAULT_MAX_SAMPLES = 2_000_000
+
+
+def check_engine_settings(target_abs_error: float, max_samples: int, seed: int) -> None:
+    """Raise ValueError unless the engine can run with this accuracy target, budget and seed."""
+    if not 0.0 < target_abs_error <= 0.1:
+        raise ValueError(f"target_abs_error must be in (0, 0.1], got {target_abs_error}")
+    if max_samples < _NUM_SHIFTS:
+        raise ValueError(
+            f"max_samples must be at least {_NUM_SHIFTS} (one sample per lattice shift), "
+            f"got {max_samples}"
+        )
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
 
 @dataclass(frozen=True)
 class MvnProblem:
@@ -56,8 +72,8 @@ class MvnProblem:
 
     corr: CorrelationMatrix
     upper_limits: np.ndarray
-    target_abs_error: float = 1e-4
-    max_samples: int = 2_000_000
+    target_abs_error: float = DEFAULT_TARGET_ABS_ERROR
+    max_samples: int = DEFAULT_MAX_SAMPLES
     seed: int = 0
 
     def __post_init__(self):
@@ -68,15 +84,7 @@ class MvnProblem:
             )
         if np.any(np.isnan(limits)):
             raise ValueError("upper_limits must not contain NaN")
-        if not 0.0 < self.target_abs_error <= 0.1:
-            raise ValueError(f"target_abs_error must be in (0, 0.1], got {self.target_abs_error}")
-        if self.max_samples < _NUM_SHIFTS:
-            raise ValueError(
-                f"max_samples must be at least {_NUM_SHIFTS} (one sample per lattice shift), "
-                f"got {self.max_samples}"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        check_engine_settings(self.target_abs_error, self.max_samples, self.seed)
         limits.setflags(write=False)
         object.__setattr__(self, "upper_limits", limits)
 

@@ -6,7 +6,7 @@ antenna and is random.  With half-duplex MRC, the outage event for either
 relaying scheme reduces to a threshold event on the best-port gain
 ``|h|^2``:
 
-* feasibility: if ``p_u * gub + p_r * grb < C_th`` (mean SNRs), outage is
+* feasibility: if ``p_u * gub + p_r * grb <= C_th`` (mean SNRs), outage is
   certain with either scheme;
 * AF: outage iff ``|h|^2 < xi_af(p_u, p_r)``;
 * DF: outage iff ``|h|^2 < xi_df(p_u, p_r)``;
@@ -19,8 +19,8 @@ and evaluated under the joint normal CDF.
 
 Because both outage probabilities are the *same* nondecreasing CDF at
 different arguments, comparing them is equivalent to comparing the
-arguments; selection is computed that way, which keeps it exact instead
-of inheriting the CDF engine's sampling noise.
+arguments, which :func:`af_df_boundary` does in closed form, so selection
+stays exact instead of inheriting the CDF engine's sampling noise.
 """
 
 from __future__ import annotations
@@ -35,7 +35,15 @@ import numpy as np
 
 from .channel import CorrelationMatrix
 from .errors import InfeasibleError
-from .mvncdf import MvnEstimate, MvnProblem, mvn_cdf, std_normal_quantile
+from .mvncdf import (
+    DEFAULT_MAX_SAMPLES,
+    DEFAULT_TARGET_ABS_ERROR,
+    MvnEstimate,
+    MvnProblem,
+    check_engine_settings,
+    mvn_cdf,
+    std_normal_quantile,
+)
 from .seeding import derive_seed
 
 # phi^{-1} diverges at 0/1; clamping the marginal here bounds the copula
@@ -125,15 +133,28 @@ class OutageResult:
 
 @dataclass(frozen=True)
 class CopulaConfig:
-    """Accuracy/seed knobs forwarded to the MVN engine."""
+    """Accuracy/seed knobs forwarded to the MVN engine, checked on construction."""
 
-    target_abs_error: float = 1e-4
-    max_samples: int = 2_000_000
+    target_abs_error: float = DEFAULT_TARGET_ABS_ERROR
+    max_samples: int = DEFAULT_MAX_SAMPLES
     seed: int = 0
 
+    def __post_init__(self):
+        check_engine_settings(self.target_abs_error, self.max_samples, self.seed)
 
-def mean_snr_sum(q: OutageQuery, lb: LinkBudget) -> float:
-    return q.p_user * lb.gamma_bar_ub + q.p_relay * lb.gamma_bar_rb
+
+def mean_snr_sum(p_user: float, p_relay: float, gamma_bar_ub: float, gamma_bar_rb: float) -> float:
+    """Mean SNR sum ``p_u*gub + p_r*grb``; the feasibility test compares it with C_th."""
+    return p_user * gamma_bar_ub + p_relay * gamma_bar_rb
+
+
+def af_df_boundary(relay_snr: float, c_th: float) -> float:
+    """Direct mean SNR ``a`` at which AF and DF outage tie, at relay mean SNR ``b``.
+
+    AF minimizes outage iff ``a`` reaches it (ties go to AF): ``xi_af <= xi_df``
+    is ``(C+1)*a + a*b >= C^2 + C``, solved for ``a`` so nothing overflows near xi = 512.
+    """
+    return c_th * ((c_th + 1.0) / (c_th + 1.0 + relay_snr))
 
 
 def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
@@ -145,11 +166,12 @@ def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
     if q.p_user <= 0:
         raise ValueError("xi_af requires p_user > 0")
     c_th = q.c_th
-    margin = mean_snr_sum(q, lb) - c_th
+    total = mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb)
+    margin = total - c_th
     if margin <= 0:
         raise InfeasibleError(
             "INFEASIBLE_POWER",
-            f"mean SNR sum {mean_snr_sum(q, lb):.6g} does not exceed threshold {c_th:.6g}",
+            f"mean SNR sum {total:.6g} does not exceed threshold {c_th:.6g}",
         )
     direct = q.p_user * lb.gamma_bar_ub
     relay_term = q.p_relay * lb.gamma_bar_rb + 1.0
@@ -177,19 +199,18 @@ def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
 
 
 def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
-    """OP-minimizing scheme via the threshold comparison (tie -> AF).
+    """OP-minimizing scheme (tie -> AF); INFEASIBLE when the mean SNR sum is <= C_th.
 
-    Comparing the CDF arguments is equivalent to comparing the outage
-    probabilities themselves because both go through the same
-    nondecreasing best-gain CDF.
+    Decided by :func:`af_df_boundary`, without evaluating ``xi_af`` or ``xi_df``.
     """
-    if mean_snr_sum(q, lb) <= q.c_th:
+    if mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= q.c_th:
         return Selection.INFEASIBLE
     if q.p_user == 0:
         # No user signal: outage certain with either scheme (both
         # thresholds diverge); tie convention picks AF.
         return Selection.AF
-    return Selection.AF if xi_df(q, lb) >= xi_af(q, lb) else Selection.DF
+    direct = q.p_user * lb.gamma_bar_ub
+    return Selection.AF if direct >= af_df_boundary(q.p_relay * lb.gamma_bar_rb, q.c_th) else Selection.DF
 
 
 def best_gain_cdf(
@@ -255,9 +276,7 @@ def outage_probabilities(
     returns OP_AF exactly 0.
     """
     selection = select_scheme(q, lb)
-    if selection is Selection.INFEASIBLE:
-        return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
-    if q.p_user == 0:
+    if selection is Selection.INFEASIBLE or q.p_user == 0:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     threshold_af = max(xi_af(q, lb), 0.0)
     threshold_df = xi_df(q, lb)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluidrelay import (
     InfeasibleError,
@@ -16,6 +18,7 @@ from fluidrelay import (
     solve_df_subproblem,
     solve_system,
 )
+from fluidrelay.outage import mean_snr_sum
 
 from oracles import (
     df_subproblem_grid,
@@ -201,6 +204,30 @@ class TestDeriveMinPowers:
         pu, pr = derive_min_powers(unit_budget(), 0.5, 0.5, 1.0)
         assert pu == pytest.approx(0.5)
         assert pr == pytest.approx(0.5)
+
+    def test_non_finite_sum_at_max_powers_rejected(self):
+        with pytest.raises(ValueError, match="non-finite mean SNR sum"):
+            derive_min_powers(unit_budget(1e300, 1.0), 1e10, 1.0, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma_ub=st.floats(1e-6, 1e9),
+        gamma_rb=st.floats(1e-6, 1e9),
+        p_user_max=st.floats(1e-6, 1e2),
+        p_relay_max=st.floats(1e-6, 1e2),
+        log_fraction=st.floats(-9.0, 0.0),
+        gamma_ur=st.floats(0.0, 1e9),
+    )
+    def test_min_powers_pass_the_optimizer_guard(
+        self, gamma_ub, gamma_rb, p_user_max, p_relay_max, log_fraction, gamma_ur
+    ):
+        budget = unit_budget(gamma_ub, gamma_rb)
+        c_th = 10.0**log_fraction * mean_snr_sum(p_user_max, p_relay_max, gamma_ub, gamma_rb)
+        pu, pr = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
+        assert 0.0 <= pu <= p_user_max
+        assert 0.0 <= pr <= p_relay_max
+        cfg = UserConfig(budget, p_user_max, p_relay_max, pu, pr)
+        optimize_powers(cfg, SnrTriple.from_budget(budget, gamma_ur), c_th)  # no INFEASIBLE_POWER
 
 
 class TestOptimizePowers:

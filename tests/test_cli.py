@@ -7,6 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fluidrelay import scheme_region
+from fluidrelay.outage import snr_threshold
+from fluidrelay.scenario import load_scenario
 
 DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
 
@@ -156,6 +159,77 @@ class TestOpSurface:
         assert result.returncode == 2
         assert "max_samples must be at least 12" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestEngineSettings:
+    """``--target-error``/``--max-samples`` are checked before any work, and only where read."""
+
+    def test_all_infeasible_map_still_checks_max_samples(self):
+        # Every point is infeasible, so no CDF is evaluated.
+        result = run_cli(
+            "op-surface", DEFAULT_SCENARIO, "--pu-range", "0", "1e-12", "--pr-range", "0", "1e-12",
+            "--max-samples", "5",
+        )
+        assert result.returncode == 2
+        assert "max_samples must be at least 12" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_validate_checks_target_error_before_sampling(self):
+        # Too few trials would fail inside the sampling step, which must not be reached.
+        result = run_cli("validate", DEFAULT_SCENARIO, "--target-error", "0.5", "--trials", "5")
+        assert result.returncode == 2
+        assert "target_abs_error must be in (0, 0.1], got 0.5" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_engine_flags_rejected_where_unread(self, command):
+        result = run_cli(command, DEFAULT_SCENARIO, "--target-error", "7", "--max-samples", "-4")
+        assert result.returncode == 2
+        assert "unrecognized arguments: --target-error 7 --max-samples -4" in result.stderr
+
+
+class TestRelayingDecisions:
+    """Feasibility and the AF/DF boundary agree between the outage map and the allocator."""
+
+    def test_threshold_on_the_min_power_boundary_runs(self, tmp_path):
+        # At xi = 6.02 the derived minimum powers once failed the optimizer's guard by an ulp.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"]["xi_bits"] = 6.02
+        path = write_doc(tmp_path, doc)
+        optimize = run_cli("optimize", path)
+        assert optimize.returncode == 0, optimize.stderr
+        sweep = run_cli("sweep", path)
+        assert sweep.returncode == 0, sweep.stderr
+        proposed = [row.split(",") for row in sweep.stdout.split("\n") if ",proposed," in row]
+        assert len(proposed) == 400
+        assert all(row[4] == "true" for row in proposed)
+
+    def test_map_selection_is_scheme_region(self):
+        result = run_cli(
+            "op-surface", DEFAULT_SCENARIO, "--xi", "1", "--steps", "10", "--target-error", "5e-3",
+            "--threads", "1",
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [row.split(",") for row in result.stdout.strip().split("\n")[1:]]
+        budget = load_scenario(DEFAULT_SCENARIO).users[0].budget
+        gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
+        c_th = snr_threshold(1.0)
+        # The CLI's default ranges: [0, 3 * C_th / mean SNR] per axis.
+        points = [
+            (pu, pr)
+            for pu in np.linspace(0.0, 3.0 * c_th / gub, 10)
+            for pr in np.linspace(0.0, 3.0 * c_th / grb, 10)
+        ]
+        assert [row[:2] for row in rows] == [[f"{pu:.9g}", f"{pr:.9g}"] for pu, pr in points]
+        # Without user power (the first row) the map picks AF by the tie
+        # convention; scheme_region needs p_user > 0.
+        feasible = [
+            (row[5], pu, pr) for row, (pu, pr) in zip(rows, points) if row[5] != "INFEASIBLE" and pu > 0
+        ]
+        assert len(feasible) > 50
+        for selection, pu, pr in feasible:
+            assert selection == scheme_region(pu, pr, c_th, gub, grb).value, (pu, pr)
+        assert ["0.0005", "8e-06", "1", "2.13421769e-25", "1.9115791e-25", "DF"] in rows
 
 
 class TestValidate:

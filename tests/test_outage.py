@@ -1,9 +1,12 @@
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from fluidrelay import (
@@ -163,6 +166,18 @@ class TestBestGainCdf:
         with pytest.raises(ValueError):
             best_gain_cdf(-0.1, default_grid_corr)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"target_abs_error": 0.5}, "target_abs_error must be in (0, 0.1], got 0.5"),
+            ({"max_samples": 11}, "max_samples must be at least 12"),
+            ({"seed": -1}, "seed must be a nonnegative integer"),
+        ],
+    )
+    def test_config_checked_like_engine_problem(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CopulaConfig(**fields)
+
     def test_single_port_is_marginal(self):
         corr = CorrelationMatrix.identity(1)
         assert best_gain_cdf(math.log(2.0), corr) == pytest.approx(0.5, abs=1e-9)
@@ -313,6 +328,26 @@ class TestOutageProbabilities:
             q = OutageQuery(pu, pr, XI_HALF)
             expected = scheme_region(pu, pr, c_th, 1.0, 1.0)
             assert select_scheme(q, UNIT_BUDGET) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xi=st.one_of(st.floats(1e-3, 20.0), st.floats(500.0, 511.99)),
+        direct=st.floats(1e-6, 3.0),
+        relay=st.floats(0.0, 3.0),
+        gamma_ub=st.floats(1.0, 1e9),
+        gamma_rb=st.floats(1.0, 1e9),
+    )
+    def test_select_scheme_is_scheme_region(self, xi, direct, relay, gamma_ub, gamma_rb):
+        # Powers are drawn as fractions of C_th per unit SNR, so huge C_th
+        # (xi near 512) still gives feasible points.
+        c_th = snr_threshold(xi)
+        p_user = direct * (c_th / gamma_ub)
+        p_relay = relay * (c_th / gamma_rb)
+        assume(math.isfinite(p_user) and math.isfinite(p_relay) and p_user > 0)
+        lb = LinkBudget(alpha_ur=1.0, alpha_ub=gamma_ub, alpha_rb=gamma_rb, sigma2_relay=1.0, sigma2_bs=1.0)
+        selection = select_scheme(OutageQuery(p_user, p_relay, xi), lb)
+        assume(selection is not Selection.INFEASIBLE)
+        assert selection is scheme_region(p_user, p_relay, c_th, gamma_ub, gamma_rb)
 
     def test_op_monotone_in_powers(self, default_grid_corr):
         config = CopulaConfig(target_abs_error=1e-3, seed=10)

@@ -14,6 +14,7 @@ Submodules:
 from .allocator import (
     AllocationResult,
     SnrTriple,
+    TrialAllocations,
     UserConfig,
     allocate_bandwidth,
     derive_min_powers,

@@ -18,6 +18,16 @@ boxes) decomposes:
 CSI convention: user->BS and relay->BS links enter through *mean*
 normalized SNRs everywhere (the relay has only statistical CSI for
 them); the user->relay link uses the instantaneous best-port value.
+
+Trials are array axes.  Within one user only ``gamma_ur`` changes from
+one channel realization (trial) to the next, so :func:`optimize_powers`
+and :func:`solve_df_subproblem` take ``SnrTriple.gamma_ur`` as a float or
+as a 1-D array over trials and work elementwise (floats in, floats out;
+schemes then come as an object array of :class:`Selection`).
+:func:`solve_system` takes the user->relay SNRs as ``(K,)``, one
+realization (an :class:`AllocationResult`, or ``InfeasibleError``), or as
+``(T, K)``, T realizations (a :class:`TrialAllocations` with a feasible
+flag and reason per trial); the ``(K,)`` call is its ``T = 1`` case.
 """
 
 from __future__ import annotations
@@ -27,8 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NumericalError
 from .outage import LinkBudget, Selection, af_df_boundary, mean_snr_sum, snr_threshold
+
+# Indexed by a DF flag; an object array keeps the members (numpy would turn
+# the ``str`` enum into plain strings).
+_SELECTIONS = np.array([Selection.AF, Selection.DF], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -61,9 +75,9 @@ class UserConfig:
 class SnrTriple:
     """Normalized per-watt SNRs for the three links.
 
-    ``provenance`` tags each value as a statistical mean or an
-    instantaneous realization; the default matches the CSI convention
-    (mean UB, instantaneous UR, mean RB).
+    ``gamma_ur`` may be a 1-D array over trials.  ``provenance`` tags each
+    value as a statistical mean or an instantaneous realization; the
+    default matches the CSI convention (mean UB, instantaneous UR, mean RB).
     """
 
     gamma_ub: float
@@ -72,15 +86,15 @@ class SnrTriple:
     provenance: tuple[str, str, str] = ("mean", "instantaneous", "mean")
 
     def __post_init__(self):
-        if self.gamma_ub < 0 or self.gamma_ur < 0 or self.gamma_rb < 0:
+        if np.any(self.gamma_ub < 0) or np.any(self.gamma_ur < 0) or np.any(self.gamma_rb < 0):
             raise ValueError("normalized SNRs must be nonnegative")
         for tag in self.provenance:
             if tag not in ("mean", "instantaneous"):
                 raise ValueError(f"provenance tag must be 'mean' or 'instantaneous', got {tag!r}")
 
     @classmethod
-    def from_budget(cls, budget: LinkBudget, gamma_ur: float) -> "SnrTriple":
-        """Mean UB/RB SNRs from the budget plus an instantaneous UR value."""
+    def from_budget(cls, budget: LinkBudget, gamma_ur) -> "SnrTriple":
+        """Mean UB/RB SNRs from the budget plus instantaneous UR values."""
         return cls(gamma_ub=budget.gamma_bar_ub, gamma_ur=gamma_ur, gamma_rb=budget.gamma_bar_rb)
 
 
@@ -99,25 +113,52 @@ class AllocationResult:
     feasible: bool
 
 
-def snr_af(p_user: float, p_relay: float, s: SnrTriple) -> float:
+@dataclass(frozen=True)
+class TrialAllocations:
+    """Solved systems of T channel realizations, one row per trial.
+
+    Arrays are ``(T, K)``, except ``sum_rate`` and ``feasible``, which are
+    ``(T,)``.  ``reason`` is ``""`` for a feasible trial and the
+    ``InfeasibleError`` reason otherwise.  Infeasible trials carry zero
+    bandwidth, rate and sum rate; when a power box fails, their powers and
+    SNRs are NaN and their schemes None.
+    """
+
+    p_user: np.ndarray
+    p_relay: np.ndarray
+    bandwidth: np.ndarray
+    scheme: np.ndarray
+    snr: np.ndarray
+    rate: np.ndarray
+    sum_rate: np.ndarray
+    feasible: np.ndarray
+    reason: tuple[str, ...]
+
+
+def snr_af(p_user, p_relay, s: SnrTriple):
     """End-to-end AF SNR with MRC of the direct and relayed copies."""
-    if p_user < 0 or p_relay < 0:
+    if np.any(p_user < 0) or np.any(p_relay < 0):
         raise ValueError("powers must be nonnegative")
     relayed_num = p_user * s.gamma_ur * p_relay * s.gamma_rb
     relayed_den = p_relay * s.gamma_rb + p_user * s.gamma_ur + 1.0
     return p_user * s.gamma_ub + relayed_num / relayed_den
 
 
-def snr_df(p_user: float, p_relay: float, s: SnrTriple) -> float:
+def snr_df(p_user, p_relay, s: SnrTriple):
     """End-to-end DF SNR: the weaker of decode hop and combined BS hop."""
-    if p_user < 0 or p_relay < 0:
+    if np.any(p_user < 0) or np.any(p_relay < 0):
         raise ValueError("powers must be nonnegative")
-    return min(p_user * s.gamma_ub + p_relay * s.gamma_rb, p_user * s.gamma_ur)
+    return np.minimum(p_user * s.gamma_ub + p_relay * s.gamma_rb, p_user * s.gamma_ur)
 
 
-def scheme_snr(scheme: Selection, p_user: float, p_relay: float, s: SnrTriple) -> float:
-    """End-to-end SNR of ``scheme`` (AF, else DF) at a power point."""
-    return snr_af(p_user, p_relay, s) if scheme is Selection.AF else snr_df(p_user, p_relay, s)
+def scheme_snr(scheme, p_user, p_relay, s: SnrTriple):
+    """End-to-end SNR of ``scheme`` (AF, else DF) at a power point.
+
+    ``scheme`` may be an array of :class:`Selection`, one per element.
+    """
+    if isinstance(scheme, Selection):
+        return snr_af(p_user, p_relay, s) if scheme is Selection.AF else snr_df(p_user, p_relay, s)
+    return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
 
 
 def _rate_scale(snr):
@@ -125,27 +166,27 @@ def _rate_scale(snr):
     return np.log1p(snr) / math.log(2.0)
 
 
-def scheme_region(
-    p_user: float,
-    p_relay: float,
-    c_th: float,
-    gamma_bar_ub: float,
-    gamma_bar_rb: float,
-) -> Selection:
+def _selections(df):
+    """``Selection.DF`` where ``df`` holds, else AF; a member for a scalar flag."""
+    return _SELECTIONS[np.asarray(df, dtype=np.intp)]
+
+
+def scheme_region(p_user, p_relay, c_th: float, gamma_bar_ub: float, gamma_bar_rb: float):
     """Which scheme the outage rule picks at a feasible power point.
 
     The rule of ``outage.select_scheme`` (:func:`~fluidrelay.outage.af_df_boundary`,
     ties to AF), except that a mean SNR sum equal to C_th counts as feasible.
+    Elementwise over arrays of powers, which give an array of :class:`Selection`.
     """
-    if p_user <= 0:
+    if np.any(p_user <= 0):
         raise ValueError("scheme_region requires p_user > 0")
     total = mean_snr_sum(p_user, p_relay, gamma_bar_ub, gamma_bar_rb)
-    if total < c_th:
+    if np.any(total < c_th):
         raise ValueError(
-            f"scheme_region requires a feasible point: mean SNR sum {total:.6g} < C_th {c_th:.6g}"
+            f"scheme_region requires a feasible point: mean SNR sum {np.min(total):.6g} < C_th {c_th:.6g}"
         )
     direct = p_user * gamma_bar_ub
-    return Selection.AF if direct >= af_df_boundary(p_relay * gamma_bar_rb, c_th) else Selection.DF
+    return _selections(direct < af_df_boundary(p_relay * gamma_bar_rb, c_th))
 
 
 def derive_min_powers(
@@ -179,11 +220,7 @@ def _df_region_touches(p_user: float, p_relay: float, c_th: float, s: SnrTriple)
     return p_user * s.gamma_ub <= af_df_boundary(p_relay * s.gamma_rb, c_th)
 
 
-def solve_df_subproblem(
-    cfg: UserConfig,
-    s: SnrTriple,
-    c_th: float,
-) -> tuple[float, float, float]:
+def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     """Best DF operating point inside the box and the DF region.
 
     Maximizes ``min(pu*gub + pr*grb, pu*gur)`` over the power box and the
@@ -197,11 +234,14 @@ def solve_df_subproblem(
     The optimum is thus exactly one of ``{r_lo, flat start, r*, crossing,
     r_top}`` clipped to ``[r_lo, r_top]``; the first best wins, so ties take
     the least relay power.  With ``grb == 0`` the objective ignores ``r``
-    and ``r_lo`` is returned.
+    and ``r_lo`` is returned.  Only the flat start and the crossing depend
+    on ``gur``, so an array of ``gur`` is solved in one pass.
 
-    Returns ``(p_user, p_relay, snr_df)``.
+    Returns ``(p_user, p_relay, snr_df)``, floats or arrays shaped like ``gur``.
     """
-    gub, gur, grb = s.gamma_ub, s.gamma_ur, s.gamma_rb
+    gub, grb = s.gamma_ub, s.gamma_rb
+    shape = np.shape(s.gamma_ur)
+    gur = np.reshape(s.gamma_ur, -1).astype(float)  # one column per trial
     if gub <= 0:
         raise ValueError("DF subproblem requires a positive mean user->BS SNR")
     bound = c_th * c_th + c_th
@@ -216,29 +256,28 @@ def solve_df_subproblem(
     def relay_at_cap(p_user):  # inverse of user_cap; needs grb > 0
         return (bound / (gub * p_user) - (c_th + 1.0)) / grb
 
-    def objective(p_relay):
-        p_user = min(u_hi, user_cap(p_relay))
-        return min(p_user * gub + p_relay * grb, p_user * gur)
-
-    candidates = [r_lo]
+    # One row per candidate relay power: r_lo, flat start, r*, crossing, r_top.
+    relay = np.full((5 if grb > 0 else 1, gur.size), r_lo)
     if grb > 0:
         # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard).
         r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
+        relay[1] = u_hi * (gur - gub) / grb
+        relay[2] = relay_at_cap(u_hi)
         # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
         disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
-        crossing = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + math.sqrt(max(disc, 0.0))))
-        points = (u_hi * (gur - gub) / grb, relay_at_cap(u_hi), crossing, r_top)
-        candidates += [min(max(r, r_lo), r_top) for r in points]
-    best_relay = max(candidates, key=objective)
-    best_user = min(u_hi, user_cap(best_relay))
-    return float(best_user), float(best_relay), float(objective(best_relay))
+        relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
+        relay[4] = r_top
+        np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
+    user = np.minimum(u_hi, user_cap(relay))
+    value = np.minimum(user * gub + relay * grb, user * gur)
+    best = np.argmax(value, axis=0), np.arange(gur.size)
+    best_user, best_relay, best_value = (a[best].reshape(shape) for a in (user, relay, value))
+    if not shape:
+        return float(best_user), float(best_relay), float(best_value)
+    return best_user, best_relay, best_value
 
 
-def optimize_powers(
-    cfg: UserConfig,
-    s: SnrTriple,
-    c_th: float,
-) -> tuple[float, float, Selection]:
+def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
     """Scheme-aware optimal transmit powers over the user's power box.
 
     The scheme-region curve is monotone, so only three cases exist:
@@ -250,6 +289,10 @@ def optimize_powers(
     * the regions split the box -> the best AF point is the max corner
       and the best DF point solves the DF subproblem; keep the larger
       SNR, AF winning ties.
+
+    Which case holds does not depend on ``gur``, so an array of ``gur``
+    picks it once.  Returns ``(p_user, p_relay, scheme)``: floats and a
+    :class:`Selection`, or arrays shaped like ``gur``.
     """
     if s.gamma_ub <= 0 or s.gamma_rb <= 0:
         raise ValueError("optimize_powers requires positive mean UB/RB SNRs")
@@ -259,15 +302,87 @@ def optimize_powers(
             "INFEASIBLE_POWER",
             f"minimum powers give mean SNR sum {guard:.6g} < threshold {c_th:.6g}",
         )
+    shape = np.shape(s.gamma_ur)
+    p_user = np.full(shape, float(cfg.p_user_max))
+    p_relay = np.full(shape, float(cfg.p_relay_max))
     if scheme_region(cfg.p_user_max, cfg.p_relay_max, c_th, s.gamma_ub, s.gamma_rb) is Selection.DF:
-        return cfg.p_user_max, cfg.p_relay_max, Selection.DF
-    if not _df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s):
-        return cfg.p_user_max, cfg.p_relay_max, Selection.AF
-    df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
-    af_snr = snr_af(cfg.p_user_max, cfg.p_relay_max, s)
-    if df_snr > af_snr:
-        return df_user, df_relay, Selection.DF
-    return cfg.p_user_max, cfg.p_relay_max, Selection.AF
+        df = np.full(shape, True)
+    elif not _df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s):
+        df = np.full(shape, False)
+    else:
+        df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
+        df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
+        p_user = np.where(df, df_user, p_user)
+        p_relay = np.where(df, df_relay, p_relay)
+    if not shape:
+        return float(p_user), float(p_relay), _selections(df)
+    return p_user, p_relay, _selections(df)
+
+
+def check_finite_snrs(snrs: np.ndarray) -> None:
+    """Raise NumericalError, naming the user, unless every ``(T, K)`` SNR is finite."""
+    bad = ~np.isfinite(snrs)
+    if bad.any():
+        trial, user = np.argwhere(bad)[0]
+        raise NumericalError(
+            f"user {user} has a non-finite end-to-end SNR {snrs[trial, user]} in trial {trial}; "
+            "its power caps or link gains are too large"
+        )
+
+
+def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarray, list]:
+    """:func:`allocate_bandwidth` on each row of ``(T, K)`` SNRs.
+
+    Returns ``(bandwidth, errors)``.  ``errors[t]`` is the InfeasibleError
+    that row ``t`` raises in :func:`allocate_bandwidth`, or None; infeasible
+    rows get zero bandwidth.  The ulp nudges run on masks, so every feasible
+    row meets both exact inequalities.
+    """
+    snrs = np.asarray(snrs, dtype=float)
+    rate_mins = np.asarray(rate_mins, dtype=float)
+    if snrs.ndim != 2 or rate_mins.shape != snrs.shape[1:]:
+        raise ValueError("snrs must be (T, K) and rate_mins (K,)")
+    if total_bw <= 0:
+        raise ValueError("total bandwidth must be positive")
+    if np.any(snrs < 0):
+        raise ValueError("SNRs must be nonnegative")
+    check_finite_snrs(snrs)
+    floored = rate_mins > 0
+    dead = (snrs == 0) & floored  # zero SNR cannot meet a positive minimum rate
+    scale = _rate_scale(snrs)
+    live = floored & ~dead
+    need = np.divide(2.0 * rate_mins, scale, out=np.zeros_like(snrs), where=live)
+    # Nudge each slice up until its realized rate meets the minimum exactly.
+    short = live & (0.5 * need * scale < rate_mins)
+    while short.any():
+        need[short] = np.nextafter(need[short], np.inf)
+        short &= 0.5 * need * scale < rate_mins
+
+    rows = np.arange(len(snrs))
+    leader = np.argmax(snrs, axis=1)
+    leader_need = need[rows, leader]
+    residual = total_bw - (need.sum(axis=1) - leader_need)
+    bandwidth = need
+    bandwidth[rows, leader] = residual
+    # Keep each summed total within the budget as an exact inequality.
+    over = bandwidth.sum(axis=1) > total_bw
+    while over.any():
+        residual[over] = np.nextafter(residual[over], -np.inf)
+        bandwidth[rows, leader] = residual
+        over = bandwidth.sum(axis=1) > total_bw
+
+    errors = [None] * len(snrs)
+    for t in np.flatnonzero(dead.any(axis=1) | ~(residual >= leader_need)):
+        if dead[t].any():
+            detail = f"user {np.argmax(dead[t])} has zero SNR but a positive minimum rate"
+        else:
+            detail = (
+                f"residual bandwidth {residual[t]:.6g} Hz cannot cover the leader's minimum "
+                f"{leader_need[t]:.6g} Hz"
+            )
+        errors[t] = InfeasibleError("INFEASIBLE_BANDWIDTH", detail)
+        bandwidth[t] = 0.0
+    return bandwidth, errors
 
 
 def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
@@ -276,98 +391,93 @@ def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
     Every user other than the SNR leader gets exactly the bandwidth its
     minimum rate requires; the leader (argmax SNR, smallest index on
     ties) absorbs the rest.  Raises INFEASIBLE_BANDWIDTH when the
-    residual cannot cover the leader's own minimum.
+    residual cannot cover the leader's own minimum, and NumericalError
+    when an SNR is not finite.
 
     The returned slices are nudged by ulps so that ``sum(b) <= total_bw``
     and ``0.5 * b * log2(1 + snr) >= rate_min`` hold as exact
     floating-point inequalities.
     """
     snrs = np.asarray(snrs, dtype=float)
-    rate_mins = np.asarray(rate_mins, dtype=float)
-    if snrs.ndim != 1 or snrs.shape != rate_mins.shape:
+    if snrs.ndim != 1 or snrs.shape != np.shape(rate_mins):
         raise ValueError("snrs and rate_mins must be 1-D vectors of equal length")
-    if total_bw <= 0:
-        raise ValueError("total bandwidth must be positive")
-    snr_list = snrs.tolist()
-    if any(snr < 0 for snr in snr_list):
-        raise ValueError("SNRs must be nonnegative")
-    rate_list = rate_mins.tolist()
-    for k, (snr, rate_min) in enumerate(zip(snr_list, rate_list)):
-        if snr == 0 and rate_min > 0:
-            raise InfeasibleError(
-                "INFEASIBLE_BANDWIDTH",
-                f"user {k} has zero SNR but a positive minimum rate",
-            )
-
-    needs = [0.0] * len(snr_list)
-    for k, (scale, rate_min) in enumerate(zip(_rate_scale(snrs).tolist(), rate_list)):
-        if rate_min > 0:
-            need = 2.0 * rate_min / scale
-            # Nudge the slice up until the realized rate meets the minimum exactly.
-            while 0.5 * need * scale < rate_min:
-                need = math.nextafter(need, math.inf)
-            needs[k] = need
-
-    leader = int(np.argmax(snrs))
-    bandwidth = np.array(needs)
-    residual = float(total_bw - (bandwidth.sum() - needs[leader]))
-    bandwidth[leader] = residual
-    # Keep the summed total within the budget as an exact inequality.
-    while bandwidth.sum() > total_bw:
-        residual = math.nextafter(residual, -math.inf)
-        bandwidth[leader] = residual
-    if residual < needs[leader]:
-        raise InfeasibleError(
-            "INFEASIBLE_BANDWIDTH",
-            f"residual bandwidth {residual:.6g} Hz cannot cover the leader's minimum "
-            f"{needs[leader]:.6g} Hz",
-        )
-    return bandwidth
+    bandwidth, errors = allocate_bandwidth_rows(snrs[None, :], rate_mins, total_bw)
+    if errors[0] is not None:
+        raise errors[0]
+    return bandwidth[0]
 
 
-def solve_system(
-    users,
-    total_bw: float,
-    xi: float,
-    gamma_ur_values,
-) -> AllocationResult:
-    """Full per-realization solve: powers, schemes, bandwidth, rates.
+def sum_over_users(rate: np.ndarray) -> np.ndarray:
+    """Per-trial sums of ``(T, K)`` rates, added user by user as ``sum`` adds a list.
 
-    ``gamma_ur_values`` carries each user's instantaneous user->relay
-    normalized SNR (best-port gain folded in); UB/RB links use the mean
-    SNRs from each budget.
+    ``rate.sum(axis=1)`` adds eight or more users pairwise, which rounds differently.
     """
-    users = list(users)
-    gamma_ur_values = [float(g) for g in gamma_ur_values]
-    if not users:
-        raise ValueError("solve_system requires at least one user")
-    if len(gamma_ur_values) != len(users):
-        raise ValueError("one gamma_ur realization is required per user")
-    c_th = snr_threshold(xi)
+    return sum(rate.T)
 
-    p_user = np.empty(len(users))
-    p_relay = np.empty(len(users))
-    schemes: list[Selection] = []
-    snrs = np.empty(len(users))
-    for k, (cfg, gamma_ur) in enumerate(zip(users, gamma_ur_values)):
-        triple = SnrTriple.from_budget(cfg.budget, gamma_ur)
-        pu, pr, scheme = optimize_powers(cfg, triple, c_th)
-        p_user[k] = pu
-        p_relay[k] = pr
-        schemes.append(scheme)
-        snrs[k] = scheme_snr(scheme, pu, pr, triple)
 
-    rate_mins = np.array([cfg.rate_min for cfg in users])
-    bandwidth = allocate_bandwidth(snrs, rate_mins, total_bw)
-    rates = 0.5 * bandwidth * _rate_scale(snrs)
-    return AllocationResult(
+def _solve_trials(users, total_bw: float, c_th: float, gammas: np.ndarray):
+    """All trials of ``(T, K)`` gains: ``(TrialAllocations, errors)``, errors as in
+    :func:`allocate_bandwidth_rows`."""
+    trials = len(gammas)
+    p_user = np.full(gammas.shape, np.nan)
+    p_relay = np.full(gammas.shape, np.nan)
+    snr = np.full(gammas.shape, np.nan)
+    scheme = np.full(gammas.shape, None, dtype=object)
+    rate = np.zeros(gammas.shape)
+    try:
+        for k, cfg in enumerate(users):
+            triple = SnrTriple.from_budget(cfg.budget, gammas[:, k])
+            p_user[:, k], p_relay[:, k], scheme[:, k] = optimize_powers(cfg, triple, c_th)
+            snr[:, k] = scheme_snr(scheme[:, k], p_user[:, k], p_relay[:, k], triple)
+    except InfeasibleError as err:  # a power box fails whatever the channel
+        bandwidth, errors = np.zeros(gammas.shape), [err] * trials
+    else:
+        bandwidth, errors = allocate_bandwidth_rows(snr, [cfg.rate_min for cfg in users], total_bw)
+        rate = 0.5 * bandwidth * _rate_scale(snr)
+    result = TrialAllocations(
         p_user=p_user,
         p_relay=p_relay,
         bandwidth=bandwidth,
-        scheme=tuple(schemes),
-        snr=snrs,
-        rate=rates,
-        best_user_index=int(np.argmax(snrs)),
-        sum_rate=float(rates.sum()),
+        scheme=scheme,
+        snr=snr,
+        rate=rate,
+        sum_rate=sum_over_users(rate),
+        feasible=np.array([err is None for err in errors]),
+        reason=tuple("" if err is None else err.reason for err in errors),
+    )
+    return result, errors
+
+
+def solve_system(users, total_bw: float, xi: float, gamma_ur_values):
+    """Full solve: powers, schemes, bandwidth, rates.
+
+    ``gamma_ur_values`` carries each user's instantaneous user->relay
+    normalized SNR (best-port gain folded in); UB/RB links use the mean
+    SNRs from each budget.  Shaped ``(K,)``, one realization: returns an
+    :class:`AllocationResult` or raises ``InfeasibleError``.  Shaped
+    ``(T, K)``, T realizations: returns :class:`TrialAllocations`, marking
+    infeasible trials instead of raising.  A non-finite end-to-end SNR
+    raises NumericalError either way.
+    """
+    users = list(users)
+    if not users:
+        raise ValueError("solve_system requires at least one user")
+    gammas = np.asarray(gamma_ur_values, dtype=float)
+    if gammas.ndim not in (1, 2) or gammas.shape[-1] != len(users):
+        raise ValueError("one gamma_ur realization is required per user")
+    result, errors = _solve_trials(users, total_bw, snr_threshold(xi), np.atleast_2d(gammas))
+    if gammas.ndim == 2:
+        return result
+    if errors[0] is not None:
+        raise errors[0]
+    return AllocationResult(
+        p_user=result.p_user[0],
+        p_relay=result.p_relay[0],
+        bandwidth=result.bandwidth[0],
+        scheme=tuple(result.scheme[0]),
+        snr=result.snr[0],
+        rate=result.rate[0],
+        best_user_index=int(np.argmax(result.snr[0])),
+        sum_rate=float(result.sum_rate[0]),
         feasible=True,
     )

@@ -14,6 +14,12 @@ and passes it to every ``run_benchmark`` call, so each stream is derived
 once, each best-port gain is computed once per (grid, trial, user) and
 each random-power pair is drawn once per (trial, user), whatever the
 number of schemes and sweep values.
+
+``run_benchmark`` collects one scheme's ``(T, K)`` user->relay SNRs (one
+``draw_gamma_ur`` call per trial) and solves all T trials in one array
+pass: ``solve_system`` on the ``(T, K)`` array for ``proposed`` and
+``tas``, per-user ``optimize_powers`` calls over the trial axis for
+``avg_bandwidth``, and row-wise bandwidth for ``random_power``.
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ import numpy as np
 from .allocator import (
     SnrTriple,
     UserConfig,
-    allocate_bandwidth,
+    allocate_bandwidth_rows,
+    check_finite_snrs,
     derive_min_powers,
     optimize_powers,
     scheme_region,
     scheme_snr,
     solve_system,
+    sum_over_users,
     _rate_scale,
 )
 from .channel import CorrelationMatrix, PortGrid, build_correlation, sample_gains
@@ -332,54 +340,37 @@ def draw_gamma_ur(users, corr: CorrelationMatrix, draws: TrialDraws, trial: int)
     ]
 
 
-def _solve_average_bandwidth(users, total_bw, c_th, gammas) -> list[float]:
-    """Optimal powers but an equal bandwidth split."""
-    share = total_bw / len(users)
-    rates = []
-    for user, gamma_ur in zip(users, gammas):
-        triple = SnrTriple.from_budget(user.budget, gamma_ur)
-        pu, pr, scheme = optimize_powers(user, triple, c_th)
-        snr = scheme_snr(scheme, pu, pr, triple)
-        rates.append(0.5 * share * float(_rate_scale(snr)))
-    for user, rate in zip(users, rates):
-        if rate < user.rate_min:
-            raise InfeasibleError(
-                "INFEASIBLE_BANDWIDTH",
-                f"equal split gives rate {rate:.6g} below the minimum {user.rate_min:.6g}",
-            )
-    return rates
+def _solve_average_bandwidth(users, total_bw, c_th, gammas):
+    """Optimal powers but an equal bandwidth split: per-trial sum rates and reasons."""
+    snr = np.empty(gammas.shape)
+    for k, user in enumerate(users):
+        triple = SnrTriple.from_budget(user.budget, gammas[:, k])
+        try:
+            pu, pr, scheme = optimize_powers(user, triple, c_th)
+        except InfeasibleError as err:  # a power box fails whatever the channel
+            return np.zeros(len(gammas)), (err.reason,) * len(gammas)
+        snr[:, k] = scheme_snr(scheme, pu, pr, triple)
+    check_finite_snrs(snr)
+    rate = 0.5 * (total_bw / len(users)) * _rate_scale(snr)
+    short = np.any(rate < [u.rate_min for u in users], axis=1)
+    reasons = tuple("INFEASIBLE_BANDWIDTH" if s else "" for s in short)
+    return np.where(short, 0.0, sum_over_users(rate)), reasons
 
 
-def _solve_random_power(users, total_bw, c_th, gammas, draws, trial) -> list[float]:
-    """Uniform random powers in the box, scheme by the selection rule."""
-    snrs = []
-    for k, (user, gamma_ur) in enumerate(zip(users, gammas)):
-        u_user, u_relay = draws.power_uniforms(trial, k)
+def _solve_random_power(users, total_bw, c_th, gammas, draws):
+    """Uniform random powers in the box, scheme by the selection rule: per-trial sum rates and reasons."""
+    uniforms = np.array([[draws.power_uniforms(t, k) for k in range(len(users))] for t in range(len(gammas))])
+    snr = np.empty(gammas.shape)
+    for k, user in enumerate(users):
         # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
-        pu = user.p_user_min + (user.p_user_max - user.p_user_min) * u_user
-        pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * u_relay
-        triple = SnrTriple.from_budget(user.budget, gamma_ur)
+        pu = user.p_user_min + (user.p_user_max - user.p_user_min) * uniforms[:, k, 0]
+        pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * uniforms[:, k, 1]
+        triple = SnrTriple.from_budget(user.budget, gammas[:, k])
         scheme = scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
-        snrs.append(scheme_snr(scheme, pu, pr, triple))
-    bandwidth = allocate_bandwidth(snrs, [u.rate_min for u in users], total_bw)
-    return [0.5 * b * float(_rate_scale(s)) for b, s in zip(bandwidth, snrs)]
-
-
-def _run_trial(users, corr, total_bw, xi, scheme, draws, trial) -> TrialRecord:
-    c_th = snr_threshold(xi)
-    gammas = draw_gamma_ur(users, corr, draws, trial)
-    try:
-        if scheme in (PROPOSED, TAS):
-            rates = [float(r) for r in solve_system(users, total_bw, xi, gammas).rate]
-        elif scheme == AVG_BANDWIDTH:
-            rates = _solve_average_bandwidth(users, total_bw, c_th, gammas)
-        elif scheme == RANDOM_POWER:
-            rates = _solve_random_power(users, total_bw, c_th, gammas, draws, trial)
-        else:
-            raise ValueError(f"unknown benchmark scheme {scheme!r}")
-    except InfeasibleError as err:
-        return TrialRecord(trial=trial, sum_rate=0.0, feasible=False, reason=err.reason)
-    return TrialRecord(trial=trial, sum_rate=float(sum(rates)), feasible=True)
+        snr[:, k] = scheme_snr(scheme, pu, pr, triple)
+    bandwidth, errors = allocate_bandwidth_rows(snr, [u.rate_min for u in users], total_bw)
+    rate = 0.5 * bandwidth * _rate_scale(snr)
+    return sum_over_users(rate), tuple("" if err is None else err.reason for err in errors)
 
 
 def run_benchmark(
@@ -387,8 +378,9 @@ def run_benchmark(
 ) -> list[TrialRecord]:
     """Per-trial sum rates for one scheme; infeasible trials carry zero rate.
 
-    ``draws`` shares one run's draws between calls; by default the call
-    makes its own.
+    Every trial of the scheme is solved in one array pass over (trial,
+    user).  ``draws`` shares one run's draws between calls; by default the
+    call makes its own.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown benchmark scheme {scheme!r}, expected one of {SCHEMES}")
@@ -398,9 +390,18 @@ def run_benchmark(
         raise ValueError(f"draws were made for seed {draws.seed}, not {seed}")
     grid = PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
     corr = draws.correlation(grid)
+    users, total_bw = scenario.users, scenario.total_bw
+    gammas = np.array([draw_gamma_ur(users, corr, draws, trial) for trial in range(scenario.trials)])
+    if scheme in (PROPOSED, TAS):
+        result = solve_system(users, total_bw, scenario.xi, gammas)
+        sum_rate, reasons = result.sum_rate, result.reason
+    elif scheme == AVG_BANDWIDTH:
+        sum_rate, reasons = _solve_average_bandwidth(users, total_bw, scenario.c_th, gammas)
+    else:
+        sum_rate, reasons = _solve_random_power(users, total_bw, scenario.c_th, gammas, draws)
     return [
-        _run_trial(scenario.users, corr, scenario.total_bw, scenario.xi, scheme, draws, trial)
-        for trial in range(scenario.trials)
+        TrialRecord(trial=trial, sum_rate=float(rate), feasible=not reason, reason=reason)
+        for trial, (rate, reason) in enumerate(zip(sum_rate, reasons))
     ]
 
 

@@ -5,7 +5,9 @@ checked against a generic LP, power control against exhaustive grid
 search over the power box with the selection rule applied pointwise,
 special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, and the sweep's
-shared draws against one fresh stream per (scheme, trial, user).
+shared draws and array solvers against one fresh stream per (scheme,
+trial, user) solved by the allocator's earlier per-trial scalar code
+(copied here as ``scalar_*``).
 """
 
 import math
@@ -14,11 +16,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
-from fluidrelay import LinkBudget, MvnEstimate, SnrTriple, UserConfig, derive_min_powers
+from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig, derive_min_powers
 from fluidrelay import harness
-from fluidrelay.allocator import allocate_bandwidth, scheme_region, scheme_snr, solve_system, _rate_scale
+from fluidrelay.allocator import AllocationResult
 from fluidrelay.channel import PortGrid, build_correlation, sample_gains
 from fluidrelay.errors import InfeasibleError
+from fluidrelay.outage import af_df_boundary, mean_snr_sum, snr_threshold
 from fluidrelay.mvncdf import _BASE_LATTICE, _NUM_SHIFTS, _U_HI, _U_LO, _first_primes, _truncated_mean
 from fluidrelay.seeding import substream
 
@@ -275,10 +278,178 @@ def mvn_cdf_per_shift(problem):
     )
 
 
+# The allocator as it was before trials became array axes: one channel
+# realization per call, Python floats throughout.
+
+
+def _scalar_rate_scale(snr):
+    return np.log1p(snr) / math.log(2.0)
+
+
+def _scalar_snr(scheme, p_user, p_relay, s):
+    if scheme is Selection.AF:
+        relayed_num = p_user * s.gamma_ur * p_relay * s.gamma_rb
+        relayed_den = p_relay * s.gamma_rb + p_user * s.gamma_ur + 1.0
+        return p_user * s.gamma_ub + relayed_num / relayed_den
+    return min(p_user * s.gamma_ub + p_relay * s.gamma_rb, p_user * s.gamma_ur)
+
+
+def _scalar_scheme_region(p_user, p_relay, c_th, gamma_bar_ub, gamma_bar_rb):
+    if p_user <= 0:
+        raise ValueError("scheme_region requires p_user > 0")
+    total = mean_snr_sum(p_user, p_relay, gamma_bar_ub, gamma_bar_rb)
+    if total < c_th:
+        raise ValueError(f"scheme_region requires a feasible point: mean SNR sum {total:.6g} < {c_th:.6g}")
+    direct = p_user * gamma_bar_ub
+    return Selection.AF if direct >= af_df_boundary(p_relay * gamma_bar_rb, c_th) else Selection.DF
+
+
+def _scalar_df_region_touches(p_user, p_relay, c_th, s):
+    return p_user * s.gamma_ub <= af_df_boundary(p_relay * s.gamma_rb, c_th)
+
+
+def scalar_solve_df_subproblem(cfg, s, c_th):
+    """``solve_df_subproblem`` for one float ``gamma_ur``: five candidates, first best wins."""
+    gub, gur, grb = s.gamma_ub, s.gamma_ur, s.gamma_rb
+    if gub <= 0:
+        raise ValueError("DF subproblem requires a positive mean user->BS SNR")
+    bound = c_th * c_th + c_th
+    u_lo, u_hi = cfg.p_user_min, cfg.p_user_max
+    r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
+    if not _scalar_df_region_touches(u_lo, r_lo, c_th, s):
+        raise ValueError("DF subproblem requires the DF region to touch the box (C~ >= 1)")
+
+    def user_cap(p_relay):
+        return bound / (gub * ((c_th + 1.0) + grb * p_relay))
+
+    def relay_at_cap(p_user):
+        return (bound / (gub * p_user) - (c_th + 1.0)) / grb
+
+    def objective(p_relay):
+        p_user = min(u_hi, user_cap(p_relay))
+        return min(p_user * gub + p_relay * grb, p_user * gur)
+
+    candidates = [r_lo]
+    if grb > 0:
+        r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
+        disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
+        crossing = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + math.sqrt(max(disc, 0.0))))
+        points = (u_hi * (gur - gub) / grb, relay_at_cap(u_hi), crossing, r_top)
+        candidates += [min(max(r, r_lo), r_top) for r in points]
+    best_relay = max(candidates, key=objective)
+    best_user = min(u_hi, user_cap(best_relay))
+    return float(best_user), float(best_relay), float(objective(best_relay))
+
+
+def scalar_optimize_powers(cfg, s, c_th):
+    """``optimize_powers`` for one float ``gamma_ur``."""
+    if s.gamma_ub <= 0 or s.gamma_rb <= 0:
+        raise ValueError("optimize_powers requires positive mean UB/RB SNRs")
+    guard = mean_snr_sum(cfg.p_user_min, cfg.p_relay_min, s.gamma_ub, s.gamma_rb)
+    if guard < c_th:
+        raise InfeasibleError(
+            "INFEASIBLE_POWER", f"minimum powers give mean SNR sum {guard:.6g} < threshold {c_th:.6g}"
+        )
+    if _scalar_scheme_region(cfg.p_user_max, cfg.p_relay_max, c_th, s.gamma_ub, s.gamma_rb) is Selection.DF:
+        return cfg.p_user_max, cfg.p_relay_max, Selection.DF
+    if not _scalar_df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s):
+        return cfg.p_user_max, cfg.p_relay_max, Selection.AF
+    df_user, df_relay, df_snr = scalar_solve_df_subproblem(cfg, s, c_th)
+    af_snr = _scalar_snr(Selection.AF, cfg.p_user_max, cfg.p_relay_max, s)
+    if df_snr > af_snr:
+        return df_user, df_relay, Selection.DF
+    return cfg.p_user_max, cfg.p_relay_max, Selection.AF
+
+
+def scalar_allocate_bandwidth(snrs, rate_mins, total_bw):
+    """``allocate_bandwidth`` on one SNR vector, nudging Python floats."""
+    snrs = np.asarray(snrs, dtype=float)
+    rate_mins = np.asarray(rate_mins, dtype=float)
+    if snrs.ndim != 1 or snrs.shape != rate_mins.shape:
+        raise ValueError("snrs and rate_mins must be 1-D vectors of equal length")
+    if total_bw <= 0:
+        raise ValueError("total bandwidth must be positive")
+    snr_list = snrs.tolist()
+    if any(snr < 0 for snr in snr_list):
+        raise ValueError("SNRs must be nonnegative")
+    rate_list = rate_mins.tolist()
+    for k, (snr, rate_min) in enumerate(zip(snr_list, rate_list)):
+        if snr == 0 and rate_min > 0:
+            raise InfeasibleError("INFEASIBLE_BANDWIDTH", f"user {k} has zero SNR but a positive rate floor")
+    needs = [0.0] * len(snr_list)
+    for k, (scale, rate_min) in enumerate(zip(_scalar_rate_scale(snrs).tolist(), rate_list)):
+        if rate_min > 0:
+            need = 2.0 * rate_min / scale
+            while 0.5 * need * scale < rate_min:
+                need = math.nextafter(need, math.inf)
+            needs[k] = need
+    leader = int(np.argmax(snrs))
+    bandwidth = np.array(needs)
+    residual = float(total_bw - (bandwidth.sum() - needs[leader]))
+    bandwidth[leader] = residual
+    while bandwidth.sum() > total_bw:
+        residual = math.nextafter(residual, -math.inf)
+        bandwidth[leader] = residual
+    if residual < needs[leader]:
+        raise InfeasibleError(
+            "INFEASIBLE_BANDWIDTH",
+            f"residual bandwidth {residual:.6g} Hz cannot cover the leader's minimum {needs[leader]:.6g} Hz",
+        )
+    return bandwidth
+
+
+def scalar_solve_system(users, total_bw, xi, gamma_ur_values):
+    """``solve_system`` on one realization, user by user."""
+    users = list(users)
+    gamma_ur_values = [float(g) for g in gamma_ur_values]
+    if not users:
+        raise ValueError("solve_system requires at least one user")
+    if len(gamma_ur_values) != len(users):
+        raise ValueError("one gamma_ur realization is required per user")
+    c_th = snr_threshold(xi)
+    p_user = np.empty(len(users))
+    p_relay = np.empty(len(users))
+    schemes = []
+    snrs = np.empty(len(users))
+    for k, (cfg, gamma_ur) in enumerate(zip(users, gamma_ur_values)):
+        triple = SnrTriple.from_budget(cfg.budget, gamma_ur)
+        pu, pr, scheme = scalar_optimize_powers(cfg, triple, c_th)
+        p_user[k], p_relay[k] = pu, pr
+        schemes.append(scheme)
+        snrs[k] = _scalar_snr(scheme, pu, pr, triple)
+    bandwidth = scalar_allocate_bandwidth(snrs, np.array([cfg.rate_min for cfg in users]), total_bw)
+    rates = 0.5 * bandwidth * _scalar_rate_scale(snrs)
+    return AllocationResult(
+        p_user=p_user,
+        p_relay=p_relay,
+        bandwidth=bandwidth,
+        scheme=tuple(schemes),
+        snr=snrs,
+        rate=rates,
+        best_user_index=int(np.argmax(snrs)),
+        sum_rate=float(rates.sum()),
+        feasible=True,
+    )
+
+
+def _scalar_average_bandwidth(users, total_bw, c_th, gammas):
+    share = total_bw / len(users)
+    rates = []
+    for user, gamma_ur in zip(users, gammas):
+        triple = SnrTriple.from_budget(user.budget, gamma_ur)
+        pu, pr, scheme = scalar_optimize_powers(user, triple, c_th)
+        rates.append(0.5 * share * float(_scalar_rate_scale(_scalar_snr(scheme, pu, pr, triple))))
+    for user, rate in zip(users, rates):
+        if rate < user.rate_min:
+            raise InfeasibleError("INFEASIBLE_BANDWIDTH", f"equal split rate {rate:.6g} below the minimum")
+    return rates
+
+
 def run_benchmark_per_trial(scenario, scheme, seed):
-    """``run_benchmark`` as it was before ``TrialDraws``: every (scheme,
-    trial, user) derives its own channel and power substreams and draws
-    its gains on its own grid."""
+    """``run_benchmark`` as it was before ``TrialDraws`` and the array
+    solvers: every (scheme, trial, user) derives its own channel and power
+    substreams and draws its gains on its own grid, and every trial is
+    solved on its own by the ``scalar_*`` copies above."""
     grid = PortGrid(1, 1, 0.0, 0.0) if scheme == harness.TAS else scenario.grid
     corr = build_correlation(grid)
     c_th = scenario.c_th
@@ -290,9 +461,10 @@ def run_benchmark_per_trial(scenario, scheme, seed):
             gammas.append(user.budget.alpha_ur * float(np.max(np.abs(gains) ** 2)) / user.budget.sigma2_relay)
         try:
             if scheme in (harness.PROPOSED, harness.TAS):
-                rates = [float(r) for r in solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas).rate]
+                result = scalar_solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
+                rates = [float(r) for r in result.rate]
             elif scheme == harness.AVG_BANDWIDTH:
-                rates = harness._solve_average_bandwidth(scenario.users, scenario.total_bw, c_th, gammas)
+                rates = _scalar_average_bandwidth(scenario.users, scenario.total_bw, c_th, gammas)
             else:
                 snrs = []
                 for k, (user, gamma_ur) in enumerate(zip(scenario.users, gammas)):
@@ -300,9 +472,11 @@ def run_benchmark_per_trial(scenario, scheme, seed):
                     pu = rng.uniform(user.p_user_min, user.p_user_max)
                     pr = rng.uniform(user.p_relay_min, user.p_relay_max)
                     triple = SnrTriple.from_budget(user.budget, gamma_ur)
-                    snrs.append(scheme_snr(scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb), pu, pr, triple))
-                bandwidth = allocate_bandwidth(snrs, [u.rate_min for u in scenario.users], scenario.total_bw)
-                rates = [0.5 * b * float(_rate_scale(x)) for b, x in zip(bandwidth, snrs)]
+                    region = _scalar_scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
+                    snrs.append(_scalar_snr(region, pu, pr, triple))
+                rate_mins = [u.rate_min for u in scenario.users]
+                bandwidth = scalar_allocate_bandwidth(snrs, rate_mins, scenario.total_bw)
+                rates = [0.5 * b * float(_scalar_rate_scale(x)) for b, x in zip(bandwidth, snrs)]
         except InfeasibleError as err:
             records.append(harness.TrialRecord(trial=trial, sum_rate=0.0, feasible=False, reason=err.reason))
             continue

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluidrelay import (
@@ -8,6 +8,7 @@ from fluidrelay import (
     LinkBudget,
     Selection,
     SnrTriple,
+    TrialAllocations,
     UserConfig,
     allocate_bandwidth,
     derive_min_powers,
@@ -18,7 +19,7 @@ from fluidrelay import (
     solve_df_subproblem,
     solve_system,
 )
-from fluidrelay.outage import mean_snr_sum
+from fluidrelay.outage import mean_snr_sum, snr_threshold
 
 from oracles import (
     df_subproblem_grid,
@@ -26,6 +27,9 @@ from oracles import (
     lp_bandwidth,
     random_df_instance,
     random_power_instance,
+    scalar_optimize_powers,
+    scalar_solve_df_subproblem,
+    scalar_solve_system,
     selection_aware_grid,
 )
 
@@ -424,3 +428,118 @@ class TestSolveSystem:
     def test_user_count_mismatch(self):
         with pytest.raises(ValueError):
             solve_system([self._user()], 5e6, 0.1, [1e5, 1e5])
+
+
+def gamma_ur_fan(s, count=9):
+    """``s`` with ``gamma_ur`` spread over four decades around its value, as an array over trials."""
+    return SnrTriple(s.gamma_ub, s.gamma_ur * np.logspace(-2.0, 2.0, count), s.gamma_rb)
+
+
+class TestArraysOverTrials:
+    """An array of ``gamma_ur`` gives, element by element, the per-trial scalar solver's bits."""
+
+    def test_df_subproblem_matches_scalar_oracle(self):
+        for cfg, s, c_th in split_box_instances(seed=31, count=60):
+            fan = gamma_ur_fan(s)
+            users, relays, values = solve_df_subproblem(cfg, fan, c_th)
+            for i, gamma_ur in enumerate(fan.gamma_ur):
+                one = SnrTriple(s.gamma_ub, float(gamma_ur), s.gamma_rb)
+                expected = scalar_solve_df_subproblem(cfg, one, c_th)
+                assert (users[i], relays[i], values[i]) == expected
+
+    def test_optimize_powers_matches_scalar_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            cfg, s, c_th = random_power_instance(rng)
+            fan = gamma_ur_fan(s)
+            p_user, p_relay, schemes = optimize_powers(cfg, fan, c_th)
+            assert p_user.shape == p_relay.shape == schemes.shape == fan.gamma_ur.shape
+            for i, gamma_ur in enumerate(fan.gamma_ur):
+                one = SnrTriple(s.gamma_ub, float(gamma_ur), s.gamma_rb)
+                expected = scalar_optimize_powers(cfg, one, c_th)
+                assert (p_user[i], p_relay[i], schemes[i]) == expected
+
+    def test_float_in_float_out(self):
+        cfg, s, c_th = next(split_box_instances(seed=33, count=1))
+        assert all(type(x) is float for x in solve_df_subproblem(cfg, s, c_th))
+        p_user, p_relay, scheme = optimize_powers(cfg, s, c_th)
+        assert type(p_user) is float and type(p_relay) is float and isinstance(scheme, Selection)
+
+    def test_negative_gamma_ur_in_array_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SnrTriple(1.0, np.array([1.0, -1e-9]), 1.0)
+
+
+@st.composite
+def trial_systems(draw):
+    """(users, total_bw, xi, (T, K) gains): boxes from derived, raised or zero minimum powers."""
+    xi = draw(st.floats(0.05, 2.0))
+    c_th = snr_threshold(xi)
+    count = draw(st.integers(1, 5))
+    users = []
+    for _ in range(count):
+        pu_max, pr_max = draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 1.0))
+        a_max, b_max = (c_th * 10.0 ** draw(st.floats(-1.3, 2.0)) for _ in range(2))
+        assume(a_max + b_max >= c_th)
+        budget = unit_budget(a_max / pu_max, b_max / pr_max)
+        pu_min, pr_min = derive_min_powers(budget, pu_max, pr_max, c_th)
+        floor = draw(st.sampled_from(["derived"] * 5 + ["raised"] * 6 + ["zero"]))
+        if floor == "raised":
+            grow = draw(st.floats(1.0, 3.0))
+            pu_min, pr_min = min(pu_min * grow, pu_max), min(pr_min * grow, pr_max)
+        elif floor == "zero":  # guard fails: INFEASIBLE_POWER in every trial
+            pu_min = pr_min = 0.0
+        rate_min = draw(st.sampled_from([0.0, 1e5, 5e5, 2e6]))
+        users.append(UserConfig(budget, pu_max, pr_max, pu_min, pr_min, rate_min))
+    trials = draw(st.integers(1, 6))
+    gain = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    scales = [c_th / u.p_user_max for u in users]
+    gammas = np.array([[scale * draw(gain) for scale in scales] for _ in range(trials)])
+    return users, draw(st.sampled_from([1e6, 5e6, 2e7])), xi, gammas
+
+
+class TestSolveSystemTrials:
+    @settings(max_examples=150, deadline=None)
+    @given(system=trial_systems())
+    def test_rows_are_k_calls_and_meet_constraints_exactly(self, system):
+        users, total_bw, xi, gammas = system
+        result = solve_system(users, total_bw, xi, gammas)
+        assert isinstance(result, TrialAllocations)
+        assert result.sum_rate.shape == result.feasible.shape == (len(gammas),)
+        rate_mins = np.array([u.rate_min for u in users])
+        for t, row in enumerate(gammas):
+            try:
+                single = solve_system(users, total_bw, xi, row)
+            except InfeasibleError as err:
+                assert not result.feasible[t]
+                assert result.reason[t] == err.reason
+                assert result.sum_rate[t] == 0.0 and not result.rate[t].any()
+                with pytest.raises(InfeasibleError, match=err.reason):
+                    scalar_solve_system(users, total_bw, xi, row)
+                continue
+            assert result.feasible[t] and result.reason[t] == ""
+            for field in ("p_user", "p_relay", "bandwidth", "snr", "rate"):
+                assert getattr(result, field)[t].tobytes() == getattr(single, field).tobytes(), field
+            assert tuple(result.scheme[t]) == single.scheme
+            assert result.sum_rate[t] == single.sum_rate == sum(single.rate.tolist())
+            oracle = scalar_solve_system(users, total_bw, xi, row)
+            assert single.rate.tobytes() == oracle.rate.tobytes()
+            assert single.scheme == oracle.scheme
+            # Exact inequalities, as the allocator promises.
+            assert single.bandwidth.sum() <= total_bw
+            assert np.all(0.5 * single.bandwidth * (np.log1p(single.snr) / np.log(2.0)) >= rate_mins)
+            for u, pu, pr in zip(users, single.p_user, single.p_relay):
+                assert u.p_user_min <= pu <= u.p_user_max
+                assert u.p_relay_min <= pr <= u.p_relay_max
+
+    def test_power_infeasible_marks_every_trial(self):
+        user = UserConfig(unit_budget(), 1.0, 1.0, 0.1, 0.1, 0.0)
+        result = solve_system([user], 1e6, 0.5, np.ones((3, 1)))
+        assert result.reason == ("INFEASIBLE_POWER",) * 3
+        assert not result.feasible.any() and not result.sum_rate.any()
+
+    @pytest.mark.parametrize("gains", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
+    def test_gain_shape_must_match_users(self, gains):
+        user = UserConfig(unit_budget(), 1.0, 1.0, 0.5, 0.5, 0.0)
+        with pytest.raises(ValueError, match="per user"):
+            solve_system([user, user], 1e6, 0.1, gains)

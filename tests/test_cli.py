@@ -12,6 +12,7 @@ from fluidrelay.outage import snr_threshold
 from fluidrelay.scenario import load_scenario
 
 DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def base_doc(**overrides):
@@ -289,8 +290,33 @@ class TestOptimize:
         assert result.stdout == ""
         assert out.read_text().startswith("row,user,")
 
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_huge_power_cap_exit_3_names_user(self, tmp_path, command):
+        # Finite caps whose end-to-end SNR overflows printed nan rates with exit 0.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        for user in doc["users"]:
+            user["p_user_max_w"] = 1e300
+        out = tmp_path / "result.csv"
+        result = run_cli(command, write_doc(tmp_path, doc), "--out", str(out))
+        assert result.returncode == 3
+        assert "error: user 0 has a non-finite end-to-end SNR inf" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
 
 class TestSweep:
+    def test_rate_sweep_workload_bytes_match_reference(self, tmp_path):
+        # The benchmark's rate_sweep scenario as perfbench/run.py writes it:
+        # base_scenario.json with 25 trials, at the reference seed 2024.
+        doc = json.loads((PERFBENCH / "base_scenario.json").read_text())
+        doc["system"].update({"trials": 25}, seed=2024)
+        path = tmp_path / "scenario-rate_sweep-seed2024.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        out = tmp_path / "rate_sweep.csv"
+        result = run_cli("sweep", str(path), "--threads", "1", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == (PERFBENCH / "reference" / "rate_sweep.csv").read_bytes()
+
     def test_row_count(self, tmp_path):
         doc = base_doc(
             sweep={"variable": "num_users", "values": [1, 2], "schemes": ["proposed", "tas"]}

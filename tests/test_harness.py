@@ -252,10 +252,12 @@ def _bits(records):
 
 # Rate floors near the sum-rate ceiling leave some trials infeasible
 # (INFEASIBLE_BANDWIDTH); zero minimum powers with a high threshold make
-# the power-controlled schemes INFEASIBLE_POWER.
+# the power-controlled schemes INFEASIBLE_POWER.  Nine users make numpy's
+# pairwise sum differ from adding users one by one.
 ORACLE_CASES = {
     "tight_rate": lambda: random_scenario(num_users=4, seed=5, trials=8, rate_min=1e7),
     "tas_edge": lambda: random_scenario(num_users=4, seed=5, trials=8, rate_min=8e6),
+    "nine_users": lambda: random_scenario(num_users=9, seed=37, trials=6, rate_min=4e6),
     "loose": lambda: random_scenario(num_users=3, seed=31, trials=6, grid=PortGrid(3, 2, 1.5, 0.5)),
 }
 SWEEP_VALUES = {"num_users": (1, 2, 3), "num_ports": (1, 2, 3), "relay_power_max": (0.05, 0.1, 0.2)}

@@ -152,12 +152,7 @@ def snr_df(p_user, p_relay, s: SnrTriple):
 
 
 def scheme_snr(scheme, p_user, p_relay, s: SnrTriple):
-    """End-to-end SNR of ``scheme`` (AF, else DF) at a power point.
-
-    ``scheme`` may be an array of :class:`Selection`, one per element.
-    """
-    if isinstance(scheme, Selection):
-        return snr_af(p_user, p_relay, s) if scheme is Selection.AF else snr_df(p_user, p_relay, s)
+    """End-to-end SNR of ``scheme`` (AF, else DF), elementwise over arrays of :class:`Selection`."""
     return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
 
 
@@ -238,6 +233,7 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     on ``gur``, so an array of ``gur`` is solved in one pass.
 
     Returns ``(p_user, p_relay, snr_df)``, floats or arrays shaped like ``gur``.
+    Raises NumericalError when ``C^2 + C`` overflows (C above about 1.3e154).
     """
     gub, grb = s.gamma_ub, s.gamma_rb
     shape = np.shape(s.gamma_ur)
@@ -245,6 +241,10 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     if gub <= 0:
         raise ValueError("DF subproblem requires a positive mean user->BS SNR")
     bound = c_th * c_th + c_th
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"SNR threshold {c_th:.6g} overflows the DF subproblem: the rate threshold is too large"
+        )
     u_lo, u_hi = cfg.p_user_min, cfg.p_user_max
     r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
     if not _df_region_touches(u_lo, r_lo, c_th, s):
@@ -270,7 +270,8 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
         np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
     user = np.minimum(u_hi, user_cap(relay))
     value = np.minimum(user * gub + relay * grb, user * gur)
-    best = np.argmax(value, axis=0), np.arange(gur.size)
+    # Near C_th ~ 1e154, 4*bound overflows and the crossing is inf/inf; a NaN never wins.
+    best = np.argmax(np.where(np.isnan(value), -np.inf, value), axis=0), np.arange(gur.size)
     best_user, best_relay, best_value = (a[best].reshape(shape) for a in (user, relay, value))
     if not shape:
         return float(best_user), float(best_relay), float(best_value)
@@ -430,6 +431,7 @@ def _solve_trials(users, total_bw: float, c_th: float, gammas: np.ndarray):
             p_user[:, k], p_relay[:, k], scheme[:, k] = optimize_powers(cfg, triple, c_th)
             snr[:, k] = scheme_snr(scheme[:, k], p_user[:, k], p_relay[:, k], triple)
     except InfeasibleError as err:  # a power box fails whatever the channel
+        p_user[:], p_relay[:], snr[:], scheme[:] = np.nan, np.nan, np.nan, None
         bandwidth, errors = np.zeros(gammas.shape), [err] * trials
     else:
         bandwidth, errors = allocate_bandwidth_rows(snr, [cfg.rate_min for cfg in users], total_bw)
@@ -478,6 +480,6 @@ def solve_system(users, total_bw: float, xi: float, gamma_ur_values):
         snr=result.snr[0],
         rate=result.rate[0],
         best_user_index=int(np.argmax(result.snr[0])),
-        sum_rate=float(result.sum_rate[0]),
+        sum_rate=float(result.rate[0].sum()),  # numpy's sum, pairwise from 8 users on
         feasible=True,
     )

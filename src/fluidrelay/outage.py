@@ -263,12 +263,6 @@ def _cdf_estimate(x: float, corr: CorrelationMatrix, config: CopulaConfig) -> Mv
     return mvn_cdf(problem)
 
 
-@functools.lru_cache(maxsize=64)
-def _scheme_configs(config: CopulaConfig) -> tuple[CopulaConfig, CopulaConfig]:
-    """The AF and DF engine configs of ``config``: its seed derived with 0 and 1."""
-    return tuple(replace(config, seed=derive_seed(config.seed, i)) for i in (0, 1))
-
-
 def outage_probabilities(
     q: OutageQuery,
     lb: LinkBudget,
@@ -286,9 +280,8 @@ def outage_probabilities(
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     threshold_af = max(xi_af(q, lb), 0.0)
     threshold_df = xi_df(q, lb)
-    config_af, config_df = _scheme_configs(config)
-    op_af = best_gain_cdf(threshold_af, corr, config_af)
-    op_df = best_gain_cdf(threshold_df, corr, config_df)
+    op_af = best_gain_cdf(threshold_af, corr, replace(config, seed=derive_seed(config.seed, 0)))
+    op_df = best_gain_cdf(threshold_df, corr, replace(config, seed=derive_seed(config.seed, 1)))
     return OutageResult(op_af=op_af, op_df=op_df, selection=selection)
 
 

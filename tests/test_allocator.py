@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fluidrelay import (
     InfeasibleError,
     LinkBudget,
+    NumericalError,
     Selection,
     SnrTriple,
     TrialAllocations,
@@ -429,6 +430,14 @@ class TestSolveSystem:
         with pytest.raises(ValueError):
             solve_system([self._user()], 5e6, 0.1, [1e5, 1e5])
 
+    def test_nine_users_sum_rate_keeps_numpy_rounding(self):
+        # numpy adds eight or more users pairwise; adding them one by one differs here.
+        users = [self._user() for _ in range(9)]
+        gammas = np.geomspace(1e5, 5e5, 9)
+        result = solve_system(users, 5e6, 0.1, gammas)
+        assert result.sum_rate == scalar_solve_system(users, 5e6, 0.1, gammas).sum_rate
+        assert result.sum_rate == float(result.rate.sum()) != sum(result.rate.tolist())
+
 
 def gamma_ur_fan(s, count=9):
     """``s`` with ``gamma_ur`` spread over four decades around its value, as an array over trials."""
@@ -464,6 +473,28 @@ class TestArraysOverTrials:
         assert all(type(x) is float for x in solve_df_subproblem(cfg, s, c_th))
         p_user, p_relay, scheme = optimize_powers(cfg, s, c_th)
         assert type(p_user) is float and type(p_relay) is float and isinstance(scheme, Selection)
+
+    def test_nan_crossing_never_wins(self):
+        # At C_th = 8e153, 4*(C_th**2 + C_th) overflows and the crossing is inf/inf.
+        c_th = 8e153
+        gub, grb = 0.5 * c_th, 1.5 * c_th
+        cfg = UserConfig(unit_budget(gub, grb), 1.0, 1.0, 0.5, 0.8 / 1.5, 0.0)
+        fan = SnrTriple(gub, 1.5 * c_th * np.logspace(-0.5, 0.05, 9), grb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            users, relays, values = solve_df_subproblem(cfg, fan, c_th)
+            p_user, p_relay, schemes = optimize_powers(cfg, fan, c_th)
+        for i, gamma_ur in enumerate(fan.gamma_ur):
+            one = SnrTriple(gub, float(gamma_ur), grb)
+            assert (users[i], relays[i], values[i]) == scalar_solve_df_subproblem(cfg, one, c_th)
+            assert (p_user[i], p_relay[i], schemes[i]) == scalar_optimize_powers(cfg, one, c_th)
+        assert (schemes == Selection.DF).sum() == 3
+
+    def test_overflowing_bound_is_numerical_error(self):
+        # C_th**2 overflows from C_th ~ 1.34e154 on (xi near 256 bits).
+        c_th = snr_threshold(300.0)
+        cfg = UserConfig(unit_budget(c_th, c_th), 1.0, 1.0, 0.5, 0.5, 0.0)
+        with pytest.raises(NumericalError, match="overflows the DF subproblem"):
+            solve_df_subproblem(cfg, SnrTriple(c_th, c_th, c_th), c_th)
 
     def test_negative_gamma_ur_in_array_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -521,7 +552,8 @@ class TestSolveSystemTrials:
             for field in ("p_user", "p_relay", "bandwidth", "snr", "rate"):
                 assert getattr(result, field)[t].tobytes() == getattr(single, field).tobytes(), field
             assert tuple(result.scheme[t]) == single.scheme
-            assert result.sum_rate[t] == single.sum_rate == sum(single.rate.tolist())
+            assert result.sum_rate[t] == sum(single.rate.tolist())
+            assert single.sum_rate == float(single.rate.sum())
             oracle = scalar_solve_system(users, total_bw, xi, row)
             assert single.rate.tobytes() == oracle.rate.tobytes()
             assert single.scheme == oracle.scheme
@@ -533,10 +565,14 @@ class TestSolveSystemTrials:
                 assert u.p_relay_min <= pr <= u.p_relay_max
 
     def test_power_infeasible_marks_every_trial(self):
-        user = UserConfig(unit_budget(), 1.0, 1.0, 0.1, 0.1, 0.0)
-        result = solve_system([user], 1e6, 0.5, np.ones((3, 1)))
+        fits = UserConfig(unit_budget(), 1.0, 1.0, 0.5, 0.5, 0.0)
+        fails = UserConfig(unit_budget(), 1.0, 1.0, 0.1, 0.1, 0.0)  # guard 0.2 < C_th = 1
+        result = solve_system([fits, fails], 1e6, 0.5, np.ones((3, 2)))
         assert result.reason == ("INFEASIBLE_POWER",) * 3
-        assert not result.feasible.any() and not result.sum_rate.any()
+        assert not result.feasible.any() and not result.sum_rate.any() and not result.bandwidth.any()
+        # The user solved before the failing box keeps no values either.
+        assert np.isnan(result.p_user).all() and np.isnan(result.p_relay).all() and np.isnan(result.snr).all()
+        assert all(scheme is None for scheme in result.scheme.flat)
 
     @pytest.mark.parametrize("gains", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
     def test_gain_shape_must_match_users(self, gains):

@@ -290,6 +290,14 @@ class TestOptimize:
         assert result.stdout == ""
         assert out.read_text().startswith("row,user,")
 
+    def test_nine_users_summary(self, tmp_path):
+        # Nine users: numpy's pairwise sum; the printed value is the unchanged one.
+        doc = base_doc()
+        doc["users"] = [dict(doc["users"][k % 2], alpha_ur=1e-9 * (1.0 + 0.25 * k)) for k in range(9)]
+        result = run_cli("optimize", write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().split("\n")[-1] == "summary,,,,,,,,7,42758838.1,true"
+
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_huge_power_cap_exit_3_names_user(self, tmp_path, command):
         # Finite caps whose end-to-end SNR overflows printed nan rates with exit 0.
@@ -302,6 +310,19 @@ class TestOptimize:
         assert "error: user 0 has a non-finite end-to-end SNR inf" in result.stderr
         assert "Traceback" not in result.stderr
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_huge_rate_threshold_exit_3(self, tmp_path, command):
+        # xi = 300 bits: C_th**2 overflows in the DF power solver (was a traceback).
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"].update(xi_bits=300.0, trials=2)
+        for user in doc["users"]:
+            user["p_user_max_w"] = user["p_relay_max_w"] = 1e178
+        result = run_cli(command, write_doc(tmp_path, doc))
+        assert result.returncode == 3
+        assert "overflows the DF subproblem" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestSweep:

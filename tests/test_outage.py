@@ -449,19 +449,6 @@ class TestOpSurface:
                 thresholds.add(("af", xi_af(q, UNIT_BUDGET)))
         assert len(engine_calls) == len(thresholds)
 
-    def test_scheme_seeds_derived_once_per_config(self, default_grid_corr, monkeypatch):
-        derived = []
-        original = outage.derive_seed
-        monkeypatch.setattr(outage, "derive_seed", lambda *key: derived.append(key) or original(*key))
-        outage._scheme_configs.cache_clear()
-        config = CopulaConfig(target_abs_error=5e-3, seed=9)
-        points = op_surface([0.6, 0.9, 1.2], [0.5, 1.0, 1.5], XI_HALF, UNIT_BUDGET, default_grid_corr, config)
-        assert sum(p.result.selection is not Selection.INFEASIBLE for p in points) > 1
-        assert derived == [(9, 0), (9, 1)]
-        af, df = outage._scheme_configs(config)
-        assert (af.seed, df.seed) == (original(9, 0), original(9, 1))
-        assert (af.target_abs_error, df.max_samples) == (config.target_abs_error, config.max_samples)
-
     def test_empty_grid_rejected(self, default_grid_corr):
         with pytest.raises(ValueError):
             op_surface([], [1.0], XI_HALF, UNIT_BUDGET, default_grid_corr)

@@ -26,14 +26,12 @@ from .allocator import (
     solve_system,
 )
 from .channel import (
-    ChannelRealization,
     CorrelationMatrix,
     PortGrid,
     build_correlation,
     port_coords,
     port_index,
     sample_gains,
-    sample_realization,
     spatial_correlation,
 )
 from .errors import InfeasibleError, NumericalError

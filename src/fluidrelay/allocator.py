@@ -152,8 +152,14 @@ def snr_df(p_user, p_relay, s: SnrTriple):
 
 
 def scheme_snr(scheme, p_user, p_relay, s: SnrTriple):
-    """End-to-end SNR of ``scheme`` (AF, else DF), elementwise over arrays of :class:`Selection`."""
-    return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
+    """End-to-end SNR of ``scheme`` (AF, else DF), elementwise over arrays of :class:`Selection`.
+
+    Huge powers or gains overflow to inf or NaN without a numpy warning:
+    every caller passes the result to :func:`check_finite_snrs`, whose
+    error names the user.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
 
 
 def _rate_scale(snr):
@@ -312,7 +318,8 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
         df = np.full(shape, False)
     else:
         df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
-        df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing AF SNR keeps AF
+            df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
         p_user = np.where(df, df_user, p_user)
         p_relay = np.where(df, df_relay, p_relay)
     if not shape:

@@ -92,32 +92,6 @@ class CorrelationMatrix:
         return cls(dim=dim, entries=np.eye(dim), factor=np.eye(dim))
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of all port gains plus the selected best port.
-
-    ``best_port`` is the 0-based index into ``port_gains`` (the 1-based
-    port number of the grid mapping is ``best_port + 1``); ties go to the
-    smallest index.
-    """
-
-    port_gains: np.ndarray
-    best_port: int
-    best_gain_sq: float
-
-    def __post_init__(self):
-        gains = np.array(self.port_gains, dtype=complex)
-        power = np.abs(gains) ** 2
-        if not 0 <= self.best_port < gains.size:
-            raise ValueError(f"best_port {self.best_port} out of range for {gains.size} ports")
-        if self.best_port != int(np.argmax(power)):
-            raise ValueError("best_port must be the smallest index attaining the maximum gain")
-        if self.best_gain_sq != power[self.best_port]:
-            raise ValueError("best_gain_sq must equal |port_gains[best_port]|^2")
-        gains.setflags(write=False)
-        object.__setattr__(self, "port_gains", gains)
-
-
 def _j0(x: np.ndarray | float):
     """Spherical Bessel function of the first kind, j0(x) = sin(x)/x, j0(0) = 1."""
     return np.sinc(np.asarray(x) / np.pi)
@@ -201,16 +175,12 @@ def sample_gains(corr: CorrelationMatrix, rng: np.random.Generator, count: int) 
 
     Each realization consumes exactly ``2 * N`` normal draws in a fixed
     (re, im) interleaved order, so the first port's gain for a given
-    stream does not depend on how many ports the grid has.
+    stream does not depend on how many ports the grid has.  The draws are
+    scaled in place and read as complex through a view, so one call holds
+    the ``(count, 2N)`` draws and the ``(count, N)`` result: 32 * N bytes
+    per row.
     """
     draws = rng.standard_normal((count, 2 * corr.dim))
-    white = (draws[:, 0::2] + 1j * draws[:, 1::2]) / np.sqrt(2.0)
-    return white @ corr.factor.T
-
-
-def sample_realization(corr: CorrelationMatrix, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one correlated realization and select the best port."""
-    gains = sample_gains(corr, rng, 1)[0]
-    power = np.abs(gains) ** 2
-    best = int(np.argmax(power))
-    return ChannelRealization(port_gains=gains, best_port=best, best_gain_sq=float(power[best]))
+    # Times the reciprocal, as numpy's complex / real does: the same bits.
+    draws *= 1.0 / np.sqrt(2.0)
+    return draws.view(np.complex128) @ corr.factor.T

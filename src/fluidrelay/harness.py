@@ -58,6 +58,8 @@ SWEEP_VARIABLES = ("num_users", "num_ports", "relay_power_max")
 _CHANNEL_TAG = 0
 _POWER_TAG = 1
 _SAMPLE_CHUNK = 1 << 15
+# Rows per sample_gains call inside a chunk: bounds the validator's temporaries.
+_DRAW_BLOCK = 1 << 12
 
 # Default dB windows for scenario randomization: the direct user->BS link
 # is weak (users far from the BS), the two relay hops are stronger.
@@ -222,17 +224,29 @@ def order_users_by_gain(users) -> tuple[UserConfig, ...]:
 
 
 def _best_gain_samples(corr: CorrelationMatrix, trials: int, seed: int) -> np.ndarray:
-    """Best-port |h|^2 samples, chunked over fixed-size substreams."""
+    """Best-port |h|^2 samples, chunked over fixed-size substreams.
+
+    Chunk ``c`` holds trials ``c * _SAMPLE_CHUNK`` onwards and draws them
+    from ``substream(seed, c)`` in blocks of ``_DRAW_BLOCK`` rows, one
+    ``sample_gains`` call each.  The stream is prefix-stable, so the
+    blocks read the draws one call per chunk would, and give its bits:
+    a one-row product takes numpy's matrix-vector path, which rounds
+    differently, so a one-row tail joins the block before it.  Besides
+    ``out``, a call holds one block's temporaries, about 48 * N bytes a
+    row: 3 MB on a 4x4 grid.
+    """
     out = np.empty(trials)
-    start = 0
-    chunk_idx = 0
-    while start < trials:
-        count = min(_SAMPLE_CHUNK, trials - start)
+    for chunk_idx, chunk_start in enumerate(range(0, trials, _SAMPLE_CHUNK)):
         rng = substream(seed, chunk_idx)
-        gains = sample_gains(corr, rng, count)
-        out[start : start + count] = np.max(np.abs(gains) ** 2, axis=1)
-        start += count
-        chunk_idx += 1
+        chunk_stop = min(chunk_start + _SAMPLE_CHUNK, trials)
+        start = chunk_start
+        while start < chunk_stop:
+            stop = min(start + _DRAW_BLOCK, chunk_stop)
+            if chunk_stop - stop == 1:
+                stop = chunk_stop
+            gains = sample_gains(corr, rng, stop - start)
+            out[start:stop] = np.max(np.abs(gains) ** 2, axis=1)
+            start = stop
     return out
 
 

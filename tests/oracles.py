@@ -7,7 +7,8 @@ special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
-(copied here as ``scalar_*``).
+(copied here as ``scalar_*``), and the validator's streamed best-gain
+sampler against one complex-division draw per whole chunk.
 """
 
 import math
@@ -482,3 +483,24 @@ def run_benchmark_per_trial(scenario, scheme, seed):
             continue
         records.append(harness.TrialRecord(trial=trial, sum_rate=float(sum(rates)), feasible=True))
     return records
+
+
+def gains_by_division(corr, rng, count):
+    """``sample_gains`` as first written: the complex gains built by addition
+    and complex division, then correlated."""
+    draws = rng.standard_normal((count, 2 * corr.dim))
+    white = (draws[:, 0::2] + 1j * draws[:, 1::2]) / np.sqrt(2.0)
+    return white @ corr.factor.T
+
+
+def best_gain_samples_per_chunk(corr, trials, seed):
+    """The validator's best-port |h|^2 samples as drawn before blocking:
+    one ``gains_by_division`` call on ``substream(seed, c)`` per whole
+    32768-trial chunk."""
+    chunk = 1 << 15
+    out = np.empty(trials)
+    for idx, start in enumerate(range(0, trials, chunk)):
+        count = min(chunk, trials - start)
+        gains = gains_by_division(corr, substream(seed, idx), count)
+        out[start : start + count] = np.max(np.abs(gains) ** 2, axis=1)
+    return out

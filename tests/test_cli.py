@@ -234,6 +234,21 @@ class TestRelayingDecisions:
 
 
 class TestValidate:
+    def test_copula_validate_workload_bytes_match_reference(self, tmp_path):
+        # The benchmark's copula_validate scenario as perfbench/run.py writes it:
+        # base_scenario.json at the reference seed 2024, with the workload's flags.
+        doc = json.loads((PERFBENCH / "base_scenario.json").read_text())
+        doc["system"].update(seed=2024)
+        path = tmp_path / "scenario-copula_validate-seed2024.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        out = tmp_path / "copula_validate.csv"
+        result = run_cli(
+            "validate", "--trials", "100000", "--points", "9", "--target-error", "1e-6",
+            "--max-samples", "500000", str(path), "--threads", "1", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == (PERFBENCH / "reference" / "copula_validate.csv").read_bytes()
+
     def test_degenerate_grid_matches_marginal(self, tmp_path):
         doc = base_doc(grid={"n1": 1, "n2": 1, "w1": 0.0, "w2": 0.0})
         path = write_doc(tmp_path, doc)
@@ -309,6 +324,7 @@ class TestOptimize:
         assert result.returncode == 3
         assert "error: user 0 has a non-finite end-to-end SNR inf" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import run_benchmark_per_trial
+from oracles import best_gain_samples_per_chunk, run_benchmark_per_trial
 
 from fluidrelay import (
     CorrelationMatrix,
@@ -98,6 +99,40 @@ class TestEmpiricalOutage:
         # With C_th = 1, AF fails iff p_user*gamma_ur < 0.68 and DF iff it is
         # below 1, so on one common draw AF cannot fail more often.
         assert 0.0 < result.op_af <= result.op_df < 1.0
+
+
+class TestStreamedSamples:
+    """``_best_gain_samples`` draws in blocks of ``_DRAW_BLOCK`` rows with the
+    bits of one complex-division draw per whole chunk."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 4)])
+    @pytest.mark.parametrize("trials", [10_000, 32_768 + 4_097, 32_768 + 4_097 + 1, 32_768 + 1, 2 * 32_768])
+    def test_matches_one_draw_per_chunk(self, shape, trials):
+        # At seed 21, 32768 + 4097 trials end in a one-row tail whose 4x4 best
+        # gain rounds differently as a matrix-vector product.
+        corr = build_correlation(PortGrid(*shape, 1.0, 1.0))
+        expected = best_gain_samples_per_chunk(corr, trials, seed=21)
+        assert np.array_equal(harness._best_gain_samples(corr, trials, 21), expected)
+
+    def test_one_row_tail_joins_previous_block(self, monkeypatch):
+        # 32768 + 4097 trials: the second chunk's blocks are 4096 + 1 rows
+        # unless the one-row tail (a matrix-vector product) is folded in.
+        counts = []
+        original = harness.sample_gains
+        monkeypatch.setattr(harness, "sample_gains", lambda *args: counts.append(args[2]) or original(*args))
+        harness._best_gain_samples(build_correlation(PortGrid(3, 3, 1.0, 1.0)), 32_768 + 4_097, 3)
+        assert sum(counts) == 32_768 + 4_097
+        assert 1 not in counts and max(counts) <= harness._DRAW_BLOCK + 1
+
+    def test_memory_is_bounded_by_the_block(self, default_grid_corr):
+        # One draw per 32768-row chunk peaks at 34.4e6 bytes; 4096-row blocks at 4.0e6.
+        tracemalloc.start()
+        try:
+            harness._best_gain_samples(default_grid_corr, 100_000, 2024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestScenario:

@@ -12,7 +12,6 @@ Submodules:
 """
 
 from .allocator import (
-    AllocationResult,
     SnrTriple,
     TrialAllocations,
     UserConfig,
@@ -29,10 +28,7 @@ from .channel import (
     CorrelationMatrix,
     PortGrid,
     build_correlation,
-    port_coords,
-    port_index,
     sample_gains,
-    spatial_correlation,
 )
 from .errors import InfeasibleError, NumericalError
 from .harness import Scenario, SweepSpec, random_scenario, run_benchmark, run_sweep

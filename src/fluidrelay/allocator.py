@@ -24,10 +24,9 @@ one channel realization (trial) to the next, so :func:`optimize_powers`
 and :func:`solve_df_subproblem` take ``SnrTriple.gamma_ur`` as a float or
 as a 1-D array over trials and work elementwise (floats in, floats out;
 schemes then come as an object array of :class:`Selection`).
-:func:`solve_system` takes the user->relay SNRs as ``(K,)``, one
-realization (an :class:`AllocationResult`, or ``InfeasibleError``), or as
-``(T, K)``, T realizations (a :class:`TrialAllocations` with a feasible
-flag and reason per trial); the ``(K,)`` call is its ``T = 1`` case.
+:func:`solve_system` takes the user->relay SNRs of T realizations as a
+``(T, K)`` array and returns :class:`TrialAllocations`, whose ``errors``
+say which trials are infeasible and why; one realization is ``T = 1``.
 """
 
 from __future__ import annotations
@@ -99,29 +98,14 @@ class SnrTriple:
 
 
 @dataclass(frozen=True)
-class AllocationResult:
-    """Solved system: per-user powers, scheme, bandwidth, and rates."""
-
-    p_user: np.ndarray
-    p_relay: np.ndarray
-    bandwidth: np.ndarray
-    scheme: tuple[Selection, ...]
-    snr: np.ndarray
-    rate: np.ndarray
-    best_user_index: int
-    sum_rate: float
-    feasible: bool
-
-
-@dataclass(frozen=True)
 class TrialAllocations:
     """Solved systems of T channel realizations, one row per trial.
 
-    Arrays are ``(T, K)``, except ``sum_rate`` and ``feasible``, which are
-    ``(T,)``.  ``reason`` is ``""`` for a feasible trial and the
-    ``InfeasibleError`` reason otherwise.  Infeasible trials carry zero
-    bandwidth, rate and sum rate; when a power box fails, their powers and
-    SNRs are NaN and their schemes None.
+    Arrays are ``(T, K)``, except ``sum_rate``, which is ``(T,)``.
+    ``errors[t]`` is None for a feasible trial and its InfeasibleError
+    otherwise.  Infeasible trials carry zero bandwidth, rate and sum rate;
+    when a power box fails, their powers and SNRs are NaN and their
+    schemes None.
     """
 
     p_user: np.ndarray
@@ -131,8 +115,7 @@ class TrialAllocations:
     snr: np.ndarray
     rate: np.ndarray
     sum_rate: np.ndarray
-    feasible: np.ndarray
-    reason: tuple[str, ...]
+    errors: tuple[InfeasibleError | None, ...]
 
 
 def snr_af(p_user, p_relay, s: SnrTriple):
@@ -423,10 +406,22 @@ def sum_over_users(rate: np.ndarray) -> np.ndarray:
     return sum(rate.T)
 
 
-def _solve_trials(users, total_bw: float, c_th: float, gammas: np.ndarray):
-    """All trials of ``(T, K)`` gains: ``(TrialAllocations, errors)``, errors as in
-    :func:`allocate_bandwidth_rows`."""
-    trials = len(gammas)
+def solve_system(users, total_bw: float, xi: float, gamma_ur_values) -> TrialAllocations:
+    """Full solve of T channel realizations: powers, schemes, bandwidth, rates.
+
+    ``gamma_ur_values`` is ``(T, K)``: each trial's instantaneous
+    user->relay normalized SNR of every user (best-port gain folded in);
+    UB/RB links use the mean SNRs from each budget.  Infeasible trials are
+    marked in ``errors``, never raised; a non-finite end-to-end SNR raises
+    NumericalError.
+    """
+    users = list(users)
+    if not users:
+        raise ValueError("solve_system requires at least one user")
+    gammas = np.asarray(gamma_ur_values, dtype=float)
+    if gammas.ndim != 2 or gammas.shape[1] != len(users):
+        raise ValueError("gamma_ur must be (T, K): one realization per user in each trial")
+    c_th = snr_threshold(xi)
     p_user = np.full(gammas.shape, np.nan)
     p_relay = np.full(gammas.shape, np.nan)
     snr = np.full(gammas.shape, np.nan)
@@ -439,11 +434,11 @@ def _solve_trials(users, total_bw: float, c_th: float, gammas: np.ndarray):
             snr[:, k] = scheme_snr(scheme[:, k], p_user[:, k], p_relay[:, k], triple)
     except InfeasibleError as err:  # a power box fails whatever the channel
         p_user[:], p_relay[:], snr[:], scheme[:] = np.nan, np.nan, np.nan, None
-        bandwidth, errors = np.zeros(gammas.shape), [err] * trials
+        bandwidth, errors = np.zeros(gammas.shape), [err] * len(gammas)
     else:
         bandwidth, errors = allocate_bandwidth_rows(snr, [cfg.rate_min for cfg in users], total_bw)
         rate = 0.5 * bandwidth * _rate_scale(snr)
-    result = TrialAllocations(
+    return TrialAllocations(
         p_user=p_user,
         p_relay=p_relay,
         bandwidth=bandwidth,
@@ -451,42 +446,5 @@ def _solve_trials(users, total_bw: float, c_th: float, gammas: np.ndarray):
         snr=snr,
         rate=rate,
         sum_rate=sum_over_users(rate),
-        feasible=np.array([err is None for err in errors]),
-        reason=tuple("" if err is None else err.reason for err in errors),
-    )
-    return result, errors
-
-
-def solve_system(users, total_bw: float, xi: float, gamma_ur_values):
-    """Full solve: powers, schemes, bandwidth, rates.
-
-    ``gamma_ur_values`` carries each user's instantaneous user->relay
-    normalized SNR (best-port gain folded in); UB/RB links use the mean
-    SNRs from each budget.  Shaped ``(K,)``, one realization: returns an
-    :class:`AllocationResult` or raises ``InfeasibleError``.  Shaped
-    ``(T, K)``, T realizations: returns :class:`TrialAllocations`, marking
-    infeasible trials instead of raising.  A non-finite end-to-end SNR
-    raises NumericalError either way.
-    """
-    users = list(users)
-    if not users:
-        raise ValueError("solve_system requires at least one user")
-    gammas = np.asarray(gamma_ur_values, dtype=float)
-    if gammas.ndim not in (1, 2) or gammas.shape[-1] != len(users):
-        raise ValueError("one gamma_ur realization is required per user")
-    result, errors = _solve_trials(users, total_bw, snr_threshold(xi), np.atleast_2d(gammas))
-    if gammas.ndim == 2:
-        return result
-    if errors[0] is not None:
-        raise errors[0]
-    return AllocationResult(
-        p_user=result.p_user[0],
-        p_relay=result.p_relay[0],
-        bandwidth=result.bandwidth[0],
-        scheme=tuple(result.scheme[0]),
-        snr=result.snr[0],
-        rate=result.rate[0],
-        best_user_index=int(np.argmax(result.snr[0])),
-        sum_rate=float(result.rate[0].sum()),  # numpy's sum, pairwise from 8 users on
-        feasible=True,
+        errors=tuple(errors),
     )

@@ -1,11 +1,13 @@
 """Fluid-antenna port geometry, spatial correlation, and channel sampling.
 
 A fluid antenna exposes ``N = n1 * n2`` candidate ports on a rectangular
-aperture of ``w1 x w2`` wavelengths.  Ports are numbered 1..N through the
-row-major mapping ``port_index``.  The instantaneous gain at each port is
-a unit-variance circularly symmetric complex Gaussian; gains at different
-ports are coupled through the isotropic-scattering kernel ``j0(2*pi*d)``
-where ``d`` is the port separation in wavelengths and ``j0`` is the
+aperture of ``w1 x w2`` wavelengths, numbered row-major: port ``(i, j)``
+(0-based) is entry ``i * n2 + j`` of every gain vector and correlation
+matrix.  The instantaneous gain at each port is a unit-variance
+circularly symmetric complex Gaussian; gains at different ports are
+coupled through the isotropic-scattering kernel ``j0(2*pi*d)`` where
+``d`` is the port separation in wavelengths (``|i - i'| * w1 / (n1 - 1)``
+along dimension 1, 0 for a single-port dimension) and ``j0`` is the
 spherical Bessel function of the first kind, ``sin(x)/x``.
 
 The antenna always operates on its best port, so the quantity consumed
@@ -95,36 +97,6 @@ class CorrelationMatrix:
 def _j0(x: np.ndarray | float):
     """Spherical Bessel function of the first kind, j0(x) = sin(x)/x, j0(0) = 1."""
     return np.sinc(np.asarray(x) / np.pi)
-
-
-def port_index(n1_idx: int, n2_idx: int, grid: PortGrid) -> int:
-    """Map 2-D port coordinates (1-based) to the 1-based linear port number."""
-    if not 1 <= n1_idx <= grid.n1:
-        raise ValueError(f"n1 index {n1_idx} outside [1, {grid.n1}]")
-    if not 1 <= n2_idx <= grid.n2:
-        raise ValueError(f"n2 index {n2_idx} outside [1, {grid.n2}]")
-    return (n1_idx - 1) * grid.n2 + n2_idx
-
-
-def port_coords(index: int, grid: PortGrid) -> tuple[int, int]:
-    """Inverse of :func:`port_index`."""
-    if not 1 <= index <= grid.num_ports:
-        raise ValueError(f"port number {index} outside [1, {grid.num_ports}]")
-    return (index - 1) // grid.n2 + 1, (index - 1) % grid.n2 + 1
-
-
-def spatial_correlation(port_a: tuple[int, int], port_b: tuple[int, int], grid: PortGrid) -> float:
-    """Correlation between two ports given as (n1, n2) coordinate pairs.
-
-    The per-dimension offset is ``|n_i - m_i| * w_i / (n_i_total - 1)``,
-    or 0 for a single-port dimension; the correlation is j0 of 2*pi times
-    the Euclidean offset.
-    """
-    port_index(port_a[0], port_a[1], grid)
-    port_index(port_b[0], port_b[1], grid)
-    d1 = abs(port_a[0] - port_b[0]) * grid.w1 / (grid.n1 - 1) if grid.n1 > 1 else 0.0
-    d2 = abs(port_a[1] - port_b[1]) * grid.w2 / (grid.n2 - 1) if grid.n2 > 1 else 0.0
-    return float(_j0(2.0 * np.pi * np.hypot(d1, d2)))
 
 
 def regularized_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -8,8 +8,8 @@ other commands run serially and ignore it.  ``--target-error`` and
 ``--max-samples`` exist only on ``op-surface`` and ``validate``, the
 commands that evaluate the copula CDF, and are checked before any work.
 
-Exit codes: 0 ok, 2 input error, 3 numerical error, 4 validation
-failure, 5 infeasible.
+Exit codes: 0 ok, 2 input error (including an allocation that cannot be
+made), 3 numerical error, 4 validation failure, 5 infeasible.
 """
 
 from __future__ import annotations
@@ -182,19 +182,21 @@ def cmd_optimize(args) -> int:
     scenario = build_scenario(spec)
     corr = build_correlation(scenario.grid)
     gammas = draw_gamma_ur(scenario.users, corr, TrialDraws(scenario.seed), 0)
-    result = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
+    result = solve_system(scenario.users, scenario.total_bw, scenario.xi, [gammas])
+    if result.errors[0] is not None:
+        raise result.errors[0]
     rows = []
     for k in range(len(scenario.users)):
         rows.append(
             (
                 "user",
                 k,
-                result.p_user[k],
-                result.p_relay[k],
-                result.scheme[k],
-                result.bandwidth[k],
-                result.snr[k],
-                result.rate[k],
+                result.p_user[0, k],
+                result.p_relay[0, k],
+                result.scheme[0, k],
+                result.bandwidth[0, k],
+                result.snr[0, k],
+                result.rate[0, k],
                 None,
                 None,
                 None,
@@ -210,9 +212,9 @@ def cmd_optimize(args) -> int:
             None,
             None,
             None,
-            result.best_user_index,
-            result.sum_rate,
-            result.feasible,
+            int(np.argmax(result.snr[0])),
+            result.sum_rate[0],
+            True,
         )
     )
     _emit(
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # MemoryError: say, 1e15 trials
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -38,6 +38,8 @@ from .allocator import (
     optimize_powers,
     scheme_region,
     scheme_snr,
+    snr_af,
+    snr_df,
     solve_system,
     sum_over_users,
     _rate_scale,
@@ -271,7 +273,8 @@ def empirical_outage(
 ) -> OutageResult:
     """Monte Carlo AF and DF outage probabilities under the analytic model's CSI rules.
 
-    Both schemes are evaluated on one draw of best-port gains.  Mean
+    Both schemes are evaluated on one draw of best-port gains, by the
+    allocator's :func:`snr_af` and :func:`snr_df`.  Mean
     UB/RB SNRs are used exactly as the analytic OP does, so the
     infeasible branch is deterministic (both 1.0 with zero variance);
     only the best-port gain is sampled.  ``selection`` is the closed-form
@@ -284,12 +287,9 @@ def empirical_outage(
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     c_th = q.c_th
     gains = _best_gain_samples(corr, trials, seed)
-    gamma_ur = lb.alpha_ur * gains / lb.sigma2_relay
-    direct = q.p_user * lb.gamma_bar_ub
-    relay = q.p_relay * lb.gamma_bar_rb
-    hop = q.p_user * gamma_ur
-    af_snr = direct + hop * relay / (hop + relay + 1.0)
-    df_snr = np.minimum(direct + relay, hop)
+    snrs = SnrTriple.from_budget(lb, lb.alpha_ur * gains / lb.sigma2_relay)
+    af_snr = snr_af(q.p_user, q.p_relay, snrs)
+    df_snr = snr_df(q.p_user, q.p_relay, snrs)
     # 0.5*log2(1+snr) < xi is equivalent to snr < C_th.
     return OutageResult(
         op_af=float(np.count_nonzero(af_snr < c_th) / trials),
@@ -408,7 +408,7 @@ def run_benchmark(
     gammas = np.array([draw_gamma_ur(users, corr, draws, trial) for trial in range(scenario.trials)])
     if scheme in (PROPOSED, TAS):
         result = solve_system(users, total_bw, scenario.xi, gammas)
-        sum_rate, reasons = result.sum_rate, result.reason
+        sum_rate, reasons = result.sum_rate, tuple("" if err is None else err.reason for err in result.errors)
     elif scheme == AVG_BANDWIDTH:
         sum_rate, reasons = _solve_average_bandwidth(users, total_bw, scenario.c_th, gammas)
     else:

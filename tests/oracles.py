@@ -7,11 +7,13 @@ special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
-(copied here as ``scalar_*``), and the validator's streamed best-gain
-sampler against one complex-division draw per whole chunk.
+(copied here as ``scalar_*``), the validator's streamed best-gain
+sampler against one complex-division draw per whole chunk, and the
+correlation matrix against one port pair at a time.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -19,7 +21,6 @@ from scipy.special import ndtr, ndtri
 
 from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig, derive_min_powers
 from fluidrelay import harness
-from fluidrelay.allocator import AllocationResult
 from fluidrelay.channel import PortGrid, build_correlation, sample_gains
 from fluidrelay.errors import InfeasibleError
 from fluidrelay.outage import af_df_boundary, mean_snr_sum, snr_threshold
@@ -35,6 +36,37 @@ def j0_series(x: float, terms: int = 40) -> float:
         total += term
         term *= -x * x / ((2 * k + 2) * (2 * k + 3))
     return total
+
+
+def port_index(n1_idx: int, n2_idx: int, grid: PortGrid) -> int:
+    """Map 2-D port coordinates (1-based) to the 1-based row-major port number."""
+    if not 1 <= n1_idx <= grid.n1:
+        raise ValueError(f"n1 index {n1_idx} outside [1, {grid.n1}]")
+    if not 1 <= n2_idx <= grid.n2:
+        raise ValueError(f"n2 index {n2_idx} outside [1, {grid.n2}]")
+    return (n1_idx - 1) * grid.n2 + n2_idx
+
+
+def port_coords(index: int, grid: PortGrid) -> tuple[int, int]:
+    """Inverse of :func:`port_index`."""
+    if not 1 <= index <= grid.num_ports:
+        raise ValueError(f"port number {index} outside [1, {grid.num_ports}]")
+    return (index - 1) // grid.n2 + 1, (index - 1) % grid.n2 + 1
+
+
+def spatial_correlation(port_a: tuple[int, int], port_b: tuple[int, int], grid: PortGrid) -> float:
+    """Correlation between two ports given as (n1, n2) coordinate pairs, one pair at a time:
+    the oracle for ``build_correlation``.
+
+    The per-dimension offset is ``|n_i - m_i| * w_i / (n_i_total - 1)``,
+    or 0 for a single-port dimension; the correlation is j0 of 2*pi times
+    the Euclidean offset, with ``j0(x) = sin(x)/x``.
+    """
+    port_index(port_a[0], port_a[1], grid)
+    port_index(port_b[0], port_b[1], grid)
+    d1 = abs(port_a[0] - port_b[0]) * grid.w1 / (grid.n1 - 1) if grid.n1 > 1 else 0.0
+    d2 = abs(port_a[1] - port_b[1]) * grid.w2 / (grid.n2 - 1) if grid.n2 > 1 else 0.0
+    return float(np.sinc(2.0 * np.hypot(d1, d2)))  # np.sinc(x) = sin(pi x)/(pi x)
 
 
 def lp_bandwidth(snrs, rate_mins, total_bw):
@@ -399,8 +431,20 @@ def scalar_allocate_bandwidth(snrs, rate_mins, total_bw):
     return bandwidth
 
 
+@dataclass(frozen=True)
+class ScalarAllocation:
+    """One realization solved by :func:`scalar_solve_system`: per-user arrays and schemes."""
+
+    p_user: np.ndarray
+    p_relay: np.ndarray
+    bandwidth: np.ndarray
+    scheme: tuple
+    snr: np.ndarray
+    rate: np.ndarray
+
+
 def scalar_solve_system(users, total_bw, xi, gamma_ur_values):
-    """``solve_system`` on one realization, user by user."""
+    """``solve_system`` on one realization, user by user; an infeasible one raises InfeasibleError."""
     users = list(users)
     gamma_ur_values = [float(g) for g in gamma_ur_values]
     if not users:
@@ -420,16 +464,8 @@ def scalar_solve_system(users, total_bw, xi, gamma_ur_values):
         snrs[k] = _scalar_snr(scheme, pu, pr, triple)
     bandwidth = scalar_allocate_bandwidth(snrs, np.array([cfg.rate_min for cfg in users]), total_bw)
     rates = 0.5 * bandwidth * _scalar_rate_scale(snrs)
-    return AllocationResult(
-        p_user=p_user,
-        p_relay=p_relay,
-        bandwidth=bandwidth,
-        scheme=tuple(schemes),
-        snr=snrs,
-        rate=rates,
-        best_user_index=int(np.argmax(snrs)),
-        sum_rate=float(rates.sum()),
-        feasible=True,
+    return ScalarAllocation(
+        p_user=p_user, p_relay=p_relay, bandwidth=bandwidth, scheme=tuple(schemes), snr=snrs, rate=rates
     )
 
 

@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fluidrelay import (
-    CorrelationMatrix,
-    PortGrid,
-    build_correlation,
-    port_coords,
-    port_index,
-    sample_gains,
-    spatial_correlation,
-)
+from fluidrelay import CorrelationMatrix, PortGrid, build_correlation, sample_gains
 from fluidrelay.seeding import substream
 
-from oracles import gains_by_division, j0_series
+from oracles import gains_by_division, j0_series, port_coords, port_index, spatial_correlation
 
 
 class TestPortGrid:

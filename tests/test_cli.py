@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -61,6 +62,32 @@ def run_cli(*args):
 
 
 class TestOpSurface:
+    def test_outage_map_workload_passes_benchmark_check(self, tmp_path, monkeypatch):
+        # The benchmark's outage_map scenario as perfbench/run.py writes it, judged
+        # by the benchmark's own check against perfbench/reference/outage_map.csv.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        checks = importlib.import_module("checks")
+        doc = json.loads((PERFBENCH / "base_scenario.json").read_text())
+        doc["system"].update(seed=2024)
+        path = tmp_path / "scenario-outage_map-seed2024.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        result = run_cli(
+            "op-surface", "--steps", "20", "--target-error", "1e-4", "--max-samples", "2000000",
+            str(path), "--threads", "1",
+        )
+        errors, _ = checks.check_output("outage_map", result.returncode, result.stdout, 2024)
+        assert errors == [], result.stderr
+
+    @pytest.mark.parametrize(
+        "args", [("validate", "--trials", "1000000000000000"), ("op-surface", "--steps", "1000000000000000")]
+    )
+    def test_impossible_allocation_exit_2(self, args):
+        # The first request is for 7 PiB, which no address space holds: nothing is allocated.
+        result = run_cli(*args, DEFAULT_SCENARIO)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and "Unable to allocate" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_row_count(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         result = run_cli("op-surface", path, "--steps", "10", "--target-error", "5e-3")
@@ -305,13 +332,37 @@ class TestOptimize:
         assert result.stdout == ""
         assert out.read_text().startswith("row,user,")
 
+    def test_default_scenario_bytes(self):
+        result = run_cli("optimize", DEFAULT_SCENARIO)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (
+            "row,user,p_user_w,p_relay_w,scheme,bandwidth_hz,snr,rate_bps,best_user_index,sum_rate_bps,feasible\n"
+            "user,0,0.1,0.1,AF,61590.9331,77190.5886,500000,,,\n"
+            "user,1,0.1,0.1,AF,58535.2589,138902.214,500000,,,\n"
+            "user,2,0.1,0.1,AF,59197.8486,121659.878,500000,,,\n"
+            "user,3,0.1,0.1,AF,4820675.96,176227.614,42005173.7,,,\n"
+            "summary,,,,,,,,3,43505173.7,true\n"
+        )
+
     def test_nine_users_summary(self, tmp_path):
-        # Nine users: numpy's pairwise sum; the printed value is the unchanged one.
+        # Nine users: eight or more is where numpy's pairwise sum would round differently.
         doc = base_doc()
         doc["users"] = [dict(doc["users"][k % 2], alpha_ur=1e-9 * (1.0 + 0.25 * k)) for k in range(9)]
         result = run_cli("optimize", write_doc(tmp_path, doc))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip().split("\n")[-1] == "summary,,,,,,,,7,42758838.1,true"
+        assert result.stdout == (
+            "row,user,p_user_w,p_relay_w,scheme,bandwidth_hz,snr,rate_bps,best_user_index,sum_rate_bps,feasible\n"
+            "user,0,0.1,0.1,AF,64176.2943,49052.8118,500000,,,\n"
+            "user,1,0.1,0.1,AF,60508.5561,94404.8331,500000,,,\n"
+            "user,2,0.1,0.1,AF,66196.1103,35280.5861,500000,,,\n"
+            "user,3,0.1,0.1,AF,58273.1876,146499.988,500000,,,\n"
+            "user,4,0.1,0.1,AF,62190.6903,69251.4312,500000,,,\n"
+            "user,5,0.1,0.1,AF,58993.0186,126707.901,500000,,,\n"
+            "user,6,0.1,0.1,AF,60695.0953,91138.9444,500000,,,\n"
+            "user,7,0.1,0.1,AF,4507570.2,150271.34,38758838.1,,,\n"
+            "user,8,0.1,0.1,AF,61396.848,79986.1748,500000,,,\n"
+            "summary,,,,,,,,7,42758838.1,true\n"
+        )
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_huge_power_cap_exit_3_names_user(self, tmp_path, command):

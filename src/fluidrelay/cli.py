@@ -64,6 +64,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _count(text: str) -> int:
+    """argparse type for counts: any value but an integer >= 1 exits 2, naming its flag."""
+    if not text.strip().removeprefix("+").isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _emit(header, rows, out_path: str | None) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
@@ -180,9 +187,8 @@ def cmd_validate(args) -> int:
 def cmd_optimize(args) -> int:
     spec = load_scenario(args.scenario)
     scenario = build_scenario(spec)
-    corr = build_correlation(scenario.grid)
-    gammas = draw_gamma_ur(scenario.users, corr, TrialDraws(scenario.seed), 0)
-    result = solve_system(scenario.users, scenario.total_bw, scenario.xi, [gammas])
+    gammas = draw_gamma_ur(scenario.users, scenario.grid, TrialDraws(scenario.seed, 1, len(scenario.users)))
+    result = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
     if result.errors[0] is not None:
         raise result.errors[0]
     rows = []
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
         p.add_argument(
             "--threads",
-            type=int,
+            type=_count,
             default=os.cpu_count(),
             help="op-surface worker threads, one p_user row per task; other commands "
             "ignore it (never affects output bytes)",
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine(p_surface)
     p_surface.add_argument("--pu-range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
     p_surface.add_argument("--pr-range", type=float, nargs=2, metavar=("LO", "HI"), default=None)
-    p_surface.add_argument("--steps", type=int, default=20, help="grid points per power axis")
+    p_surface.add_argument("--steps", type=_count, default=20, help="grid points per power axis")
     p_surface.add_argument("--xi", type=float, default=None, help="override the scenario threshold")
     p_surface.set_defaults(func=cmd_op_surface)
 
@@ -296,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_validate)
     engine(p_validate)
     p_validate.add_argument("--trials", type=int, default=100_000)
-    p_validate.add_argument("--points", type=int, default=9, help="CDF evaluation points in [0.1, 5]")
+    p_validate.add_argument("--points", type=_count, default=9, help="CDF evaluation points in [0.1, 5]")
     p_validate.set_defaults(func=cmd_validate)
 
     p_optimize = sub.add_parser("optimize", help="solve the sum-rate problem once")

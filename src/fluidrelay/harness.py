@@ -9,16 +9,14 @@ per-trial comparisons (a 1x1-port grid consumes the same leading draws
 as a larger grid, making the TAS benchmark the exact degenerate case of
 the proposed scheme).
 
-A ``TrialDraws`` object holds one run's draws: ``run_sweep`` builds one
-and passes it to every ``run_benchmark`` call, so each stream is derived
-once, each best-port gain is computed once per (grid, trial, user) and
-each random-power pair is drawn once per (trial, user), whatever the
-number of schemes and sweep values.
+A ``TrialDraws`` object holds one run's draws as ``(T, K)`` arrays, the
+gains made once per port grid: ``run_sweep`` passes one to every
+``run_benchmark`` call, whatever the number of schemes and sweep values.
 
-``run_benchmark`` collects one scheme's ``(T, K)`` user->relay SNRs (one
-``draw_gamma_ur`` call per trial) and solves all T trials in one array
-pass: ``solve_system`` on the ``(T, K)`` array for ``proposed`` and
-``tas``, per-user ``optimize_powers`` calls over the trial axis for
+``run_benchmark`` takes one scheme's ``(T, K)`` user->relay SNRs from
+one ``draw_gamma_ur`` call and solves all T trials in one array pass:
+``solve_system`` on the ``(T, K)`` array for ``proposed`` and ``tas``,
+per-user ``optimize_powers`` calls over the trial axis for
 ``avg_bandwidth``, and row-wise bandwidth for ``random_power``.
 """
 
@@ -299,59 +297,47 @@ def empirical_outage(
 
 
 class TrialDraws:
-    """One run's channel and random-power draws, each made once.
+    """One run's draws as arrays over ``trials`` x ``num_users``, each made once.
 
-    Each (trial, user) channel stream is derived once; its starting state
-    is restored before every grid samples from it, so each grid reads the
-    same draws as a freshly derived stream.  Best-port gains are kept per
-    (correlation, trial, user) and random-power uniform pairs per (trial,
-    user).  Correlation matrices are built once per grid, which keeps the
-    gain keys (matrices compare by identity) stable across calls.
+    Each (trial, user) channel stream is derived once and restarted from
+    its first state for every port grid, so each grid reads the draws of
+    a fresh stream.  Power streams are derived only when asked for.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, trials: int, num_users: int):
         self.seed = seed
-        self._correlations: dict[PortGrid, CorrelationMatrix] = {}
-        self._channel_streams: dict[tuple[int, int], tuple[np.random.Generator, dict]] = {}
-        self._best_gains: dict[tuple[CorrelationMatrix, int, int], float] = {}
-        self._power_uniforms: dict[tuple[int, int], tuple[float, float]] = {}
+        self.trials = trials
+        self.num_users = num_users
+        rngs = [substream(seed, t, k, _CHANNEL_TAG) for t, k in np.ndindex(trials, num_users)]
+        self._channel_streams = [(rng, rng.bit_generator.state) for rng in rngs]
+        self._best_gains: dict[PortGrid, np.ndarray] = {}
+        self._power_uniforms: np.ndarray | None = None
 
-    def correlation(self, grid: PortGrid) -> CorrelationMatrix:
-        corr = self._correlations.get(grid)
-        if corr is None:
-            corr = self._correlations[grid] = build_correlation(grid)
-        return corr
+    def best_gains(self, grid: PortGrid) -> np.ndarray:
+        """``(T, K)`` best-port |h|^2 on ``grid``: one ``sample_gains`` row per (trial, user) stream."""
+        if grid not in self._best_gains:
+            corr = build_correlation(grid)
+            rows = []
+            for rng, start in self._channel_streams:
+                rng.bit_generator.state = start
+                rows.append(sample_gains(corr, rng, 1)[0])
+            gains = np.reshape(rows, (self.trials, self.num_users, corr.dim))
+            self._best_gains[grid] = np.max(np.abs(gains) ** 2, axis=2)
+        return self._best_gains[grid]
 
-    def best_gain(self, corr: CorrelationMatrix, trial: int, user: int) -> float:
-        """max |h|^2 over the ports of ``corr`` for the (trial, user) channel stream."""
-        key = (corr, trial, user)
-        best = self._best_gains.get(key)
-        if best is None:
-            stream = self._channel_streams.get((trial, user))
-            if stream is None:
-                rng = substream(self.seed, trial, user, _CHANNEL_TAG)
-                stream = self._channel_streams[(trial, user)] = (rng, rng.bit_generator.state)
-            rng, start = stream
-            rng.bit_generator.state = start
-            gains = sample_gains(corr, rng, 1)[0]
-            best = self._best_gains[key] = float(np.max(np.abs(gains) ** 2))
-        return best
-
-    def power_uniforms(self, trial: int, user: int) -> tuple[float, float]:
-        """The (p_user, p_relay) uniforms of the (trial, user) power stream."""
-        pair = self._power_uniforms.get((trial, user))
-        if pair is None:
-            rng = substream(self.seed, trial, user, _POWER_TAG)
-            pair = self._power_uniforms[(trial, user)] = (rng.random(), rng.random())
-        return pair
+    def power_uniforms(self) -> np.ndarray:
+        """``(T, K, 2)`` (p_user, p_relay) uniforms, one ``random(2)`` per (trial, user) power stream."""
+        if self._power_uniforms is None:
+            keys = np.ndindex(self.trials, self.num_users)
+            pairs = [substream(self.seed, t, k, _POWER_TAG).random(2) for t, k in keys]
+            self._power_uniforms = np.reshape(pairs, (self.trials, self.num_users, 2))
+        return self._power_uniforms
 
 
-def draw_gamma_ur(users, corr: CorrelationMatrix, draws: TrialDraws, trial: int) -> list[float]:
-    """Per-user instantaneous user->relay normalized SNRs for one trial."""
-    return [
-        user.budget.alpha_ur * draws.best_gain(corr, trial, k) / user.budget.sigma2_relay
-        for k, user in enumerate(users)
-    ]
+def draw_gamma_ur(users, grid: PortGrid, draws: TrialDraws) -> np.ndarray:
+    """``(T, K)`` instantaneous user->relay normalized SNRs on ``grid``, one column per user."""
+    gains = draws.best_gains(grid)[:, : len(users)]
+    return [user.budget.alpha_ur for user in users] * gains / [user.budget.sigma2_relay for user in users]
 
 
 def _solve_average_bandwidth(users, total_bw, c_th, gammas):
@@ -371,9 +357,8 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas):
     return np.where(short, 0.0, sum_over_users(rate)), reasons
 
 
-def _solve_random_power(users, total_bw, c_th, gammas, draws):
+def _solve_random_power(users, total_bw, c_th, gammas, uniforms):
     """Uniform random powers in the box, scheme by the selection rule: per-trial sum rates and reasons."""
-    uniforms = np.array([[draws.power_uniforms(t, k) for k in range(len(users))] for t in range(len(gammas))])
     snr = np.empty(gammas.shape)
     for k, user in enumerate(users):
         # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
@@ -398,21 +383,26 @@ def run_benchmark(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown benchmark scheme {scheme!r}, expected one of {SCHEMES}")
+    users, total_bw = scenario.users, scenario.total_bw
     if draws is None:
-        draws = TrialDraws(seed)
+        draws = TrialDraws(seed, scenario.trials, len(users))
     elif draws.seed != seed:
         raise ValueError(f"draws were made for seed {draws.seed}, not {seed}")
+    elif draws.trials != scenario.trials or draws.num_users < len(users):
+        raise ValueError(
+            f"draws were made for {draws.trials} trials of {draws.num_users} users, "
+            f"not {scenario.trials} trials of {len(users)}"
+        )
     grid = PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
-    corr = draws.correlation(grid)
-    users, total_bw = scenario.users, scenario.total_bw
-    gammas = np.array([draw_gamma_ur(users, corr, draws, trial) for trial in range(scenario.trials)])
+    gammas = draw_gamma_ur(users, grid, draws)
     if scheme in (PROPOSED, TAS):
         result = solve_system(users, total_bw, scenario.xi, gammas)
         sum_rate, reasons = result.sum_rate, tuple("" if err is None else err.reason for err in result.errors)
     elif scheme == AVG_BANDWIDTH:
         sum_rate, reasons = _solve_average_bandwidth(users, total_bw, scenario.c_th, gammas)
     else:
-        sum_rate, reasons = _solve_random_power(users, total_bw, scenario.c_th, gammas, draws)
+        uniforms = draws.power_uniforms()
+        sum_rate, reasons = _solve_random_power(users, total_bw, scenario.c_th, gammas, uniforms)
     return [
         TrialRecord(trial=trial, sum_rate=float(rate), feasible=not reason, reason=reason)
         for trial, (rate, reason) in enumerate(zip(sum_rate, reasons))
@@ -454,7 +444,7 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     """
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
-    draws = TrialDraws(scenario.seed)
+    draws = TrialDraws(scenario.seed, scenario.trials, len(scenario.users))
     for value in spec.values:
         derived = _sweep_scenario(scenario, spec.variable, value)
         for scheme in spec.schemes:

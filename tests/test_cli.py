@@ -216,6 +216,38 @@ class TestEngineSettings:
         assert "unrecognized arguments: --target-error 7 --max-samples -4" in result.stderr
 
 
+class TestCountFlags:
+    """Counts below 1 are input errors that name their flag, before any work."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["op-surface", "validate", "optimize", "sweep"])
+    def test_threads_below_one_exit_2(self, command, value):
+        result = run_cli(command, DEFAULT_SCENARIO, "--threads", value)
+        assert result.returncode == 2
+        assert f"argument --threads: must be an integer >= 1, got '{value}'" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("op-surface", "--steps", "0"),
+            ("op-surface", "--steps", "-3"),
+            ("validate", "--points", "0"),
+            ("validate", "--points", "-2"),
+            ("validate", "--points", "2.5"),
+        ],
+    )
+    def test_grid_counts_below_one_exit_2(self, command, flag, value):
+        result = run_cli(command, DEFAULT_SCENARIO, flag, value)
+        assert result.returncode == 2
+        assert f"argument {flag}: must be an integer >= 1, got '{value}'" in result.stderr
+
+    def test_one_of_each_runs(self, tmp_path):
+        path = write_doc(tmp_path, base_doc())
+        result = run_cli("op-surface", path, "--steps", "1", "--threads", "1", "--target-error", "5e-3")
+        assert result.returncode == 0
+        assert len(result.stdout.strip().split("\n")) == 2
+
+
 class TestRelayingDecisions:
     """Feasibility and the AF/DF boundary agree between the outage map and the allocator."""
 

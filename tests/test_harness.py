@@ -14,6 +14,7 @@ from fluidrelay import (
     PortGrid,
     Selection,
     build_correlation,
+    sample_gains,
 )
 from fluidrelay import harness
 from fluidrelay.harness import (
@@ -32,6 +33,7 @@ from fluidrelay.harness import (
     run_sweep,
 )
 from fluidrelay.outage import CopulaConfig, best_gain_cdf, outage_probabilities
+from fluidrelay.seeding import substream
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 
@@ -371,4 +373,52 @@ class TestSharedDraws:
     def test_draws_for_another_seed_rejected(self):
         scenario = random_scenario(num_users=2, seed=3, trials=2)
         with pytest.raises(ValueError, match="seed 4"):
-            run_benchmark(scenario, PROPOSED, scenario.seed, TrialDraws(4))
+            run_benchmark(scenario, PROPOSED, scenario.seed, TrialDraws(4, 2, 2))
+
+    @pytest.mark.parametrize(
+        "trials, num_users, named",
+        [
+            (1, 2, "1 trials of 2 users, not 2 trials of 2"),
+            (3, 2, "3 trials of 2 users, not 2 trials of 2"),
+            (2, 1, "2 trials of 1 users, not 2 trials of 2"),
+        ],
+    )
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_draws_not_covering_the_scenario_rejected(self, scheme, trials, num_users, named):
+        scenario = random_scenario(num_users=2, seed=3, trials=2)
+        with pytest.raises(ValueError, match=named):
+            run_benchmark(scenario, scheme, scenario.seed, TrialDraws(3, trials, num_users))
+
+
+class TestDrawArrays:
+    """``TrialDraws`` arrays against one fresh stream per (trial, user)."""
+
+    def test_best_gains_match_one_row_per_stream(self):
+        # One object serves every grid, so each grid must restart the streams.
+        draws = TrialDraws(29, 5, 3)
+        for shape in [(4, 4), (1, 1), (2, 3)]:
+            grid = PortGrid(*shape, 1.0, 1.0)
+            best = draws.best_gains(grid)
+            assert best.shape == (5, 3)
+            corr = build_correlation(grid)
+            for t in range(5):
+                for k in range(3):
+                    gains = sample_gains(corr, substream(29, t, k, 0), 1)
+                    assert best[t, k].hex() == float(np.max(np.abs(gains) ** 2)).hex(), (shape, t, k)
+
+    def test_power_uniforms_match_two_scalar_draws(self):
+        uniforms = TrialDraws(29, 5, 3).power_uniforms()
+        assert uniforms.shape == (5, 3, 2)
+        for t in range(5):
+            for k in range(3):
+                rng = substream(29, t, k, 1)
+                assert [u.hex() for u in uniforms[t, k]] == [rng.random().hex(), rng.random().hex()]
+
+    def test_equal_grids_share_one_array(self, monkeypatch):
+        calls = []
+        original = harness.sample_gains
+        monkeypatch.setattr(harness, "sample_gains", lambda *args: calls.append(args) or original(*args))
+        draws = TrialDraws(29, 4, 2)
+        first = draws.best_gains(PortGrid(2, 3, 1.0, 0.5))
+        assert draws.best_gains(PortGrid(2, 3, 1.0, 0.5)) is first
+        assert len(calls) == 4 * 2

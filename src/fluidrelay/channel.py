@@ -150,9 +150,14 @@ def sample_gains(corr: CorrelationMatrix, rng: np.random.Generator, count: int) 
     stream does not depend on how many ports the grid has.  The draws are
     scaled in place and read as complex through a view, so one call holds
     the ``(count, 2N)`` draws and the ``(count, N)`` result: 32 * N bytes
-    per row.
+    per row (512 bytes on a 4x4 grid).
     """
     draws = rng.standard_normal((count, 2 * corr.dim))
     # Times the reciprocal, as numpy's complex / real does: the same bits.
     draws *= 1.0 / np.sqrt(2.0)
     return draws.view(np.complex128) @ corr.factor.T
+
+
+def best_gain_sq(gains: np.ndarray) -> np.ndarray:
+    """Best-port ``max_l |h_l|^2`` of gain vectors laid along the last axis."""
+    return np.max(np.abs(gains) ** 2, axis=-1)

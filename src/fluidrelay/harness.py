@@ -42,7 +42,7 @@ from .allocator import (
     sum_over_users,
     _rate_scale,
 )
-from .channel import CorrelationMatrix, PortGrid, build_correlation, sample_gains
+from .channel import CorrelationMatrix, PortGrid, best_gain_sq, build_correlation, sample_gains
 from .errors import InfeasibleError
 from .outage import LinkBudget, OutageQuery, OutageResult, Selection, select_scheme, snr_threshold
 from .seeding import substream
@@ -59,7 +59,7 @@ _CHANNEL_TAG = 0
 _POWER_TAG = 1
 _SAMPLE_CHUNK = 1 << 15
 # Rows per sample_gains call inside a chunk: bounds the validator's temporaries.
-_DRAW_BLOCK = 1 << 12
+_DRAW_BLOCK = 1 << 10
 
 # Default dB windows for scenario randomization: the direct user->BS link
 # is weak (users far from the BS), the two relay hops are stronger.
@@ -223,19 +223,18 @@ def order_users_by_gain(users) -> tuple[UserConfig, ...]:
     return tuple(sorted(users, key=lambda u: (u.budget.alpha_ub, u.budget.alpha_ur, u.budget.alpha_rb)))
 
 
-def _best_gain_samples(corr: CorrelationMatrix, trials: int, seed: int) -> np.ndarray:
-    """Best-port |h|^2 samples, chunked over fixed-size substreams.
+def _best_gain_blocks(corr: CorrelationMatrix, trials: int, seed: int):
+    """Best-port |h|^2 of ``trials`` draws, yielded a block at a time.
 
     Chunk ``c`` holds trials ``c * _SAMPLE_CHUNK`` onwards and draws them
     from ``substream(seed, c)`` in blocks of ``_DRAW_BLOCK`` rows, one
     ``sample_gains`` call each.  The stream is prefix-stable, so the
     blocks read the draws one call per chunk would, and give its bits:
     a one-row product takes numpy's matrix-vector path, which rounds
-    differently, so a one-row tail joins the block before it.  Besides
-    ``out``, a call holds one block's temporaries, about 48 * N bytes a
-    row: 3 MB on a 4x4 grid.
+    differently, so a one-row tail joins the block before it.  A block
+    peaks in its ``sample_gains`` call, at 32 * N bytes a row: 0.5 MB on a
+    4x4 grid.
     """
-    out = np.empty(trials)
     for chunk_idx, chunk_start in enumerate(range(0, trials, _SAMPLE_CHUNK)):
         rng = substream(seed, chunk_idx)
         chunk_stop = min(chunk_start + _SAMPLE_CHUNK, trials)
@@ -244,9 +243,20 @@ def _best_gain_samples(corr: CorrelationMatrix, trials: int, seed: int) -> np.nd
             stop = min(start + _DRAW_BLOCK, chunk_stop)
             if chunk_stop - stop == 1:
                 stop = chunk_stop
-            gains = sample_gains(corr, rng, stop - start)
-            out[start:stop] = np.max(np.abs(gains) ** 2, axis=1)
+            yield best_gain_sq(sample_gains(corr, rng, stop - start))
             start = stop
+
+
+def _best_gain_samples(corr: CorrelationMatrix, trials: int, seed: int) -> np.ndarray:
+    """All ``trials`` best-port |h|^2 samples of :func:`_best_gain_blocks`.
+
+    Holds the ``(trials,)`` result, 8 bytes a trial, besides one block.
+    """
+    out = np.empty(trials)
+    start = 0
+    for gains in _best_gain_blocks(corr, trials, seed):
+        out[start : start + len(gains)] = gains
+        start += len(gains)
     return out
 
 
@@ -276,7 +286,10 @@ def empirical_outage(
     UB/RB SNRs are used exactly as the analytic OP does, so the
     infeasible branch is deterministic (both 1.0 with zero variance);
     only the best-port gain is sampled.  ``selection`` is the closed-form
-    rule of ``select_scheme``, as in ``outage_probabilities``.
+    rule of ``select_scheme``, as in ``outage_probabilities``.  Outages
+    are counted per block of :func:`_best_gain_blocks`, so a call holds
+    one block (32 * N bytes a row, 0.5 MB on a 4x4 grid) and no array of
+    ``trials`` length.
     """
     if trials < 10_000:
         raise ValueError("empirical outage needs at least 1e4 trials")
@@ -284,14 +297,15 @@ def empirical_outage(
     if selection is Selection.INFEASIBLE or q.p_user == 0:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     c_th = q.c_th
-    gains = _best_gain_samples(corr, trials, seed)
-    snrs = SnrTriple.from_budget(lb, lb.alpha_ur * gains / lb.sigma2_relay)
-    af_snr = snr_af(q.p_user, q.p_relay, snrs)
-    df_snr = snr_df(q.p_user, q.p_relay, snrs)
-    # 0.5*log2(1+snr) < xi is equivalent to snr < C_th.
+    af_outages = df_outages = 0
+    for gains in _best_gain_blocks(corr, trials, seed):
+        snrs = SnrTriple.from_budget(lb, lb.alpha_ur * gains / lb.sigma2_relay)
+        # 0.5*log2(1+snr) < xi is equivalent to snr < C_th.
+        af_outages += np.count_nonzero(snr_af(q.p_user, q.p_relay, snrs) < c_th)
+        df_outages += np.count_nonzero(snr_df(q.p_user, q.p_relay, snrs) < c_th)
     return OutageResult(
-        op_af=float(np.count_nonzero(af_snr < c_th) / trials),
-        op_df=float(np.count_nonzero(df_snr < c_th) / trials),
+        op_af=float(af_outages / trials),
+        op_df=float(df_outages / trials),
         selection=selection,
     )
 
@@ -322,7 +336,7 @@ class TrialDraws:
                 rng.bit_generator.state = start
                 rows.append(sample_gains(corr, rng, 1)[0])
             gains = np.reshape(rows, (self.trials, self.num_users, corr.dim))
-            self._best_gains[grid] = np.max(np.abs(gains) ** 2, axis=2)
+            self._best_gains[grid] = best_gain_sq(gains)
         return self._best_gains[grid]
 
     def power_uniforms(self) -> np.ndarray:

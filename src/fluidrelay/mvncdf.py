@@ -9,12 +9,17 @@ integral is evaluated with a Richtmyer lattice (generating vector
 independent Cranley-Patterson shifts.  Shift-to-shift scatter yields the
 error estimate (3x the standard error over shifts).
 
-Each round computes ``frac(k*g)`` once and integrates its shifts in
-blocks of up to ``_BLOCK_ROWS`` rows (shift x lattice point): the 12
-shifts of the 512-point first round go in one pass, larger rounds take
-fewer shifts per block.  A block is held coordinate-major, shape
-``(n-1, shifts*count)``, so each conditional mean is one contiguous
-matrix-vector product, and the quantiles overwrite the points in place.
+Each round integrates its shifts in blocks of up to ``_BLOCK_ROWS`` rows
+(shift x lattice point): the 12 shifts of the 512-point first round go
+in one pass, larger rounds take fewer shifts per block, and a lattice
+larger than ``_BLOCK_ROWS`` is cut into slices of at most that many
+points, each with its own ``frac(k*g)``.  A block is held
+coordinate-major, shape ``(n-1, shifts*count)``, so each conditional mean
+is one contiguous matrix-vector product, and the quantiles overwrite the
+points in place.  So a call holds O((n-1) * _BLOCK_ROWS) floats, plus
+one shift block's integrand values (8 bytes per lattice point of a round
+above ``_BLOCK_ROWS`` points), whatever its sample budget: about 2.8 MB at
+the default budget on a 4x4 grid.
 
 Before integration the coordinates are reordered by the greedy pivoted
 Cholesky rule: each step takes the remaining variable with the smallest
@@ -42,7 +47,8 @@ from .seeding import substream
 _NUM_SHIFTS = 12
 _BASE_LATTICE = 512
 # Rows (shift x lattice point) integrated in one pass.  Round 0 (12 x 512)
-# fits whole; a round whose lattice exceeds this takes one shift per block.
+# fits whole; a round whose lattice exceeds this takes one shift per block,
+# in lattice slices of this many points.
 _BLOCK_ROWS = 8192
 # ndtri is clipped away from {0, 1}; contributions there are already
 # negligible because the running product is ~0 or the limit is huge.
@@ -140,6 +146,20 @@ def _round_shifts(seed: int, round_idx: int, dims: int) -> np.ndarray:
     return shifts
 
 
+def _lattice_frac(generator: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """``frac(k*g)`` for lattice points ``k = lo+1 .. hi``, shape (n-1, hi-lo).
+
+    Written into the leading columns of ``buf``, so one buffer serves
+    every slice of a round.  ``k*g`` is nonnegative, so subtracting its
+    floor is exact: these are the bits of ``np.mod(k*g, 1.0)``.
+    """
+    frac = buf[:, : hi - lo]
+    np.multiply.outer(generator, np.arange(lo + 1, hi + 1, dtype=float), out=frac)
+    for row in frac:  # one row's floor at a time: no second lattice-sized array
+        row -= np.floor(row)
+    return frac
+
+
 def _truncated_mean(cb: float) -> float:
     """E[Z | Z <= cb] for standard normal Z, stable far into the tail."""
     if cb < -1e3:
@@ -182,12 +202,13 @@ def _reordered_cholesky(matrix: np.ndarray, limits: np.ndarray) -> tuple[np.ndar
 def _sov_block(
     factor: np.ndarray, limits: np.ndarray, frac: np.ndarray, shifts: np.ndarray
 ) -> np.ndarray:
-    """Per-shift means of the separation-of-variables integrand.
+    """Separation-of-variables integrand, shape (shifts, count).
 
-    ``frac`` is ``frac(k*g)`` for the round's lattice, shape (n-1, count);
-    ``shifts`` holds one Cranley-Patterson shift per row.  All shifted
-    points sit in one coordinate-major (n-1, shifts*count) array, and row
-    ``i`` is overwritten by its quantiles once coordinate ``i`` is drawn.
+    ``frac`` is ``frac(k*g)`` for a slice of the round's lattice, shape
+    (n-1, count); ``shifts`` holds one Cranley-Patterson shift per row.
+    All shifted points sit in one coordinate-major (n-1, shifts*count)
+    array, and row ``i`` is overwritten by its quantiles once coordinate
+    ``i`` is drawn.
     """
     dims, count = frac.shape
     rows = len(shifts) * count
@@ -214,7 +235,7 @@ def _sov_block(
         conditional /= factor[i, i]
         ndtr(conditional, out=e)
         prob *= e
-    return prob.reshape(len(shifts), count).mean(axis=1)
+    return prob.reshape(len(shifts), count)
 
 
 def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
@@ -251,13 +272,18 @@ def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
         if budget_left < _NUM_SHIFTS:
             break
         lattice_size = min(_BASE_LATTICE << round_idx, budget_left // _NUM_SHIFTS)
-        frac = np.multiply.outer(generator, np.arange(1, lattice_size + 1, dtype=float))
-        np.mod(frac, 1.0, out=frac)
         shifts = _round_shifts(problem.seed, round_idx, n - 1)
-        per_block = max(1, _BLOCK_ROWS // lattice_size)
+        span = min(lattice_size, _BLOCK_ROWS)
+        frac_buf = np.empty((n - 1, span))
+        per_block = _BLOCK_ROWS // span
         for start in range(0, _NUM_SHIFTS, per_block):
             block = slice(start, start + per_block)
-            shift_sums[block] += lattice_size * _sov_block(factor, limits, frac, shifts[block])
+            prob = np.empty((len(shifts[block]), lattice_size))
+            for lo in range(0, lattice_size, span):
+                hi = min(lo + span, lattice_size)
+                frac = _lattice_frac(generator, lo, hi, frac_buf)
+                prob[:, lo:hi] = _sov_block(factor, limits, frac, shifts[block])
+            shift_sums[block] += lattice_size * prob.mean(axis=1)
         weight += lattice_size
         samples_used += _NUM_SHIFTS * lattice_size
         combined = shift_sums / weight

@@ -53,11 +53,16 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+# A CLI run that never returns fails its test instead of stalling the suite.
+_CLI_TIMEOUT_S = 300
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "fluidrelay", *args],
         capture_output=True,
         text=True,
+        timeout=_CLI_TIMEOUT_S,
     )
 
 

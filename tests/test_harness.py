@@ -91,9 +91,9 @@ class TestEmpiricalOutage:
 
     def test_one_draw_serves_both_schemes(self, default_grid_corr, monkeypatch):
         draws = []
-        original = harness._best_gain_samples
+        original = harness._best_gain_blocks
         monkeypatch.setattr(
-            harness, "_best_gain_samples", lambda *args: draws.append(args) or original(*args)
+            harness, "_best_gain_blocks", lambda *args: draws.append(args) or original(*args)
         )
         q = OutageQuery(0.8, 0.7, 0.5)
         result = empirical_outage(q, UNIT_BUDGET, default_grid_corr, 10_000, seed=6)
@@ -101,6 +101,18 @@ class TestEmpiricalOutage:
         # With C_th = 1, AF fails iff p_user*gamma_ur < 0.68 and DF iff it is
         # below 1, so on one common draw AF cannot fail more often.
         assert 0.0 < result.op_af <= result.op_df < 1.0
+
+    def test_memory_does_not_grow_with_trials(self, default_grid_corr):
+        # Trial-length gain and SNR arrays peaked at 40.0e6 bytes here; counting
+        # outages per 1024-row draw block peaks at 0.6e6.
+        q = OutageQuery(0.8, 0.7, 0.5)
+        tracemalloc.start()
+        try:
+            empirical_outage(q, UNIT_BUDGET, default_grid_corr, 1_000_000, seed=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestStreamedSamples:
@@ -117,7 +129,7 @@ class TestStreamedSamples:
         assert np.array_equal(harness._best_gain_samples(corr, trials, 21), expected)
 
     def test_one_row_tail_joins_previous_block(self, monkeypatch):
-        # 32768 + 4097 trials: the second chunk's blocks are 4096 + 1 rows
+        # 32768 + 4097 trials: the second chunk's blocks are 4 x 1024 + 1 rows
         # unless the one-row tail (a matrix-vector product) is folded in.
         counts = []
         original = harness.sample_gains
@@ -127,14 +139,15 @@ class TestStreamedSamples:
         assert 1 not in counts and max(counts) <= harness._DRAW_BLOCK + 1
 
     def test_memory_is_bounded_by_the_block(self, default_grid_corr):
-        # One draw per 32768-row chunk peaks at 34.4e6 bytes; 4096-row blocks at 4.0e6.
+        # One draw per 32768-row chunk peaks at 34.4e6 bytes, 4096-row blocks at
+        # 4.0e6 and 1024-row blocks at 1.3e6, 0.8e6 of it the (trials,) result.
         tracemalloc.start()
         try:
             harness._best_gain_samples(default_grid_corr, 100_000, 2024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 2e6
 
 
 class TestScenario:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -229,6 +230,41 @@ class TestBlockedKernel:
         got = _assert_same_estimate(problem)
         assert got.samples_used == 387_072 + 12 * 9410
         assert not got.converged
+
+
+def _unconverged_problem(corr, **budget):
+    return MvnProblem(corr=corr, upper_limits=np.full(16, 1.1), target_abs_error=1e-6, seed=4, **budget)
+
+
+class TestLatticeSlices:
+    """Rounds above ``_BLOCK_ROWS`` points run in lattice slices with the bits
+    of one pass over the whole round."""
+
+    @pytest.mark.parametrize(
+        "budget, value, est_error",
+        [
+            # Rounds of 512..16384 points, then 9410 (the truncated-round problem).
+            ({"max_samples": 500_000}, "0x1.54a23e2de9db1p-3", "0x1.4c1bb03ddcb77p-13"),
+            # The default budget: rounds of 512..65536 points, then 36106.
+            ({}, "0x1.54a2ce956a20fp-3", "0x1.30bc0c4a2cea6p-14"),
+        ],
+    )
+    def test_bits_pinned(self, default_grid_corr, budget, value, est_error):
+        # Recorded from the engine that integrated each round's lattice in one pass.
+        got = mvn_cdf(_unconverged_problem(default_grid_corr, **budget))
+        assert (got.value.hex(), got.est_error.hex()) == (value, est_error)
+        assert not got.converged
+
+    def test_memory_is_bounded_by_the_block(self, default_grid_corr):
+        # Whole-round frac and points arrays peaked at 17.3e6 bytes here;
+        # 8192-point slices at 2.8e6.
+        tracemalloc.start()
+        try:
+            mvn_cdf(_unconverged_problem(default_grid_corr))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestRoundShifts:

@@ -60,7 +60,7 @@ class CorrelationMatrix:
     ``factor @ factor.T`` reproduces ``entries`` (after any regularization
     applied at build time) to within 1e-10 entrywise; the factor drives
     both correlated sampling and the Gaussian-copula CDF.  Equality and
-    hashing are by identity, so a matrix can key the best-gain CDF memo.
+    hashing are by identity.
     """
 
     dim: int

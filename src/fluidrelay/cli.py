@@ -53,7 +53,7 @@ _OP_PROBE_GAINS = (1.0, 2.5)  # target best-gain CDF argument
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, Selection):
         return value.value

@@ -13,7 +13,8 @@ Each round integrates its shifts in blocks of up to ``_BLOCK_ROWS`` rows
 (shift x lattice point): the 12 shifts of the 512-point first round go
 in one pass, larger rounds take fewer shifts per block, and a lattice
 larger than ``_BLOCK_ROWS`` is cut into slices of at most that many
-points, each with its own ``frac(k*g)``.  A block is held
+points, each with its own ``frac(k*g)`` (a lattice of one slice builds
+its ``frac(k*g)`` once, for all its shift blocks).  A block is held
 coordinate-major, shape ``(n-1, shifts*count)``, so each conditional mean
 is one contiguous matrix-vector product, and the quantiles overwrite the
 points in place.  So a call holds O((n-1) * _BLOCK_ROWS) floats, plus
@@ -26,7 +27,11 @@ Cholesky rule: each step takes the remaining variable with the smallest
 conditional probability (evaluated at the truncated-normal means of the
 already-fixed variables).  This generalizes sorting the limits and cuts
 the integrand variance; estimates stay permutation-consistent within
-their error bound.  All randomness comes from seeded substreams keyed by
+their error bound.  The pivot runs over a stack of problems:
+``mvn_cdf`` pivots its one problem as a stack of one, and
+``pivot_problems`` pivots many problems of one dimension in one pass
+ahead of their calls (an ``op_surface`` row's new thresholds), with the
+same bits per problem.  All randomness comes from seeded substreams keyed by
 (seed, round, shift), so results do not depend on scheduling or worker
 counts; each round's shifts are drawn once per (seed, round, dimension)
 and shared by every call that asks for them.
@@ -36,7 +41,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -81,6 +87,8 @@ class MvnProblem:
     target_abs_error: float = DEFAULT_TARGET_ABS_ERROR
     max_samples: int = DEFAULT_MAX_SAMPLES
     seed: int = 0
+    # Pivoted factor and limits attached by pivot_problems, read by mvn_cdf.
+    _pivot: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         limits = np.array(self.upper_limits, dtype=float)
@@ -169,34 +177,60 @@ def _truncated_mean(cb: float) -> float:
     return -math.exp(-0.5 * cb * cb - 0.5 * math.log(2.0 * math.pi) - log_ndtr(cb))
 
 
-def _reordered_cholesky(matrix: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivoted Cholesky with the min-conditional-probability ordering.
+def _pivoted_cholesky(matrices: np.ndarray, limits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted Cholesky of a stack of problems, shapes (M, n, n) and (M, n).
 
-    Returns the permuted factor and limits; the represented probability
-    is unchanged.  Residual diagonals are floored at a tiny positive
-    value, which regularizes numerically semidefinite inputs.
+    Step ``i`` takes, in every problem at once, the remaining variable with
+    the smallest conditional probability given the truncated-normal means
+    of the variables already fixed (Genz & Bretz 2009).  Returns the
+    permuted factors and limits; each problem's probability is unchanged.
+    Residual diagonals are floored at a tiny positive value, which
+    regularizes numerically semidefinite inputs.  Swaps move index arrays;
+    the truncated means stay per problem in ``math``, so every factor bit
+    is the one a single problem gets on its own.
     """
-    a = np.array(matrix, dtype=float)
+    count, n = limits.shape
+    items = np.arange(count)
+    rows = items[:, None]
+    order = np.tile(np.arange(n), (count, 1))  # variable order[:, k] becomes coordinate k
+    diagonals = np.diagonal(matrices, axis1=1, axis2=2)
     b = np.array(limits, dtype=float)
-    n = b.size
-    factor = np.zeros((n, n))
-    y = np.zeros(n)
+    factor = np.zeros((count, n, n))
+    y = np.zeros((count, n))
     for i in range(n):
-        resid = np.maximum(a.diagonal()[i:] - (factor[i:, :i] ** 2).sum(axis=1), 1e-14)
-        conditional = (b[i:] - factor[i:, :i] @ y[:i]) / np.sqrt(resid)
-        j = i + int(conditional.argmin())
-        if j != i:
-            a[[i, j], :] = a[[j, i], :]
-            a[:, [i, j]] = a[:, [j, i]]
-            factor[[i, j], :i] = factor[[j, i], :i]
-            b[[i, j]] = b[[j, i]]
-        factor[i, i] = math.sqrt(resid[j - i])
+        resid = np.maximum(diagonals[rows, order[:, i:]] - (factor[:, i:, :i] ** 2).sum(axis=2), 1e-14)
+        conditional = (b[:, i:] - (factor[:, i:, :i] @ y[:, :i, None])[..., 0]) / np.sqrt(resid)
+        j = i + conditional.argmin(axis=1)
+        order[items, i], order[items, j] = order[items, j], order[items, i]
+        b[items, i], b[items, j] = b[items, j], b[items, i]
+        factor[items, i], factor[items, j] = factor[items, j], factor[items, i]
+        factor[:, i, i] = np.sqrt(resid[items, j - i])
         if i + 1 < n:
-            factor[i + 1 :, i] = (
-                a[i + 1 :, i] - factor[i + 1 :, :i] @ factor[i, :i]
-            ) / factor[i, i]
-        y[i] = _truncated_mean(float((b[i] - factor[i, :i] @ y[:i]) / factor[i, i]))
+            column = matrices[rows, order[:, i + 1 :], order[:, i, None]]
+            below = (factor[:, i + 1 :, :i] @ factor[:, i, :i, None])[..., 0]
+            factor[:, i + 1 :, i] = (column - below) / factor[:, i, i, None]
+        bound = (b[:, i] - (factor[:, i, None, :i] @ y[:, :i, None])[:, 0, 0]) / factor[:, i, i]
+        y[:, i] = [_truncated_mean(c) for c in bound.tolist()]
     return factor, b
+
+
+def pivot_problems(problems: Sequence[MvnProblem]) -> None:
+    """Pivot the problems' factors in one stack, ahead of their :func:`mvn_cdf` calls.
+
+    Each problem carries its pivoted factor and limits to its engine call
+    (one stacked pass costs about what one problem alone does).  The
+    problems must share one dimension >= 2 and have finite limits, as
+    best-gain CDF thresholds do; :func:`mvn_cdf` pivots any problem that
+    arrives without one.
+    """
+    if not problems:
+        return
+    limits = np.stack([problem.upper_limits for problem in problems])
+    if limits.shape[1] < 2 or not np.all(np.isfinite(limits)):
+        raise ValueError("pivot_problems needs finite limits in dimension >= 2")
+    factors, limits = _pivoted_cholesky(np.stack([problem.corr.entries for problem in problems]), limits)
+    for problem, factor, permuted in zip(problems, factors, limits):
+        object.__setattr__(problem, "_pivot", (factor, permuted))
 
 
 def _sov_block(
@@ -228,7 +262,7 @@ def _sov_block(
     for i in range(1, dims + 1):
         u = points[i - 1]
         np.multiply(e, u, out=u)
-        np.clip(u, _U_LO, _U_HI, out=u)
+        u.clip(_U_LO, _U_HI, out=u)  # np.clip's ufunc, without its module-level wrappers
         ndtri(u, out=u)
         np.dot(factor[i, :i], points[:i], out=conditional)
         np.subtract(limits[i], conditional, out=conditional)
@@ -242,21 +276,25 @@ def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
     """Estimate P(Z <= upper_limits) for Z ~ N(0, corr).
 
     A limit of -inf short-circuits to 0; +inf coordinates are dropped
-    (exact marginalization).  The 1-D case is evaluated exactly.
+    (exact marginalization).  The 1-D case is evaluated exactly.  A
+    problem pivoted by :func:`pivot_problems` skips those checks and its
+    own pivoting.
     """
-    limits = problem.upper_limits
-    if np.any(np.isneginf(limits)):
-        return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
-    keep = ~np.isposinf(limits)
-    if not np.any(keep):
-        return MvnEstimate(value=1.0, est_error=0.0, samples_used=0, converged=True)
-    limits = limits[keep]
-    matrix = problem.corr.entries[np.ix_(keep, keep)]
+    if problem._pivot is not None:
+        factor, limits = problem._pivot
+    else:
+        limits = problem.upper_limits
+        if np.any(np.isneginf(limits)):
+            return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
+        keep = ~np.isposinf(limits)
+        if not np.any(keep):
+            return MvnEstimate(value=1.0, est_error=0.0, samples_used=0, converged=True)
+        limits = limits[keep]
+        if limits.size == 1:
+            return MvnEstimate(value=float(ndtr(limits[0])), est_error=0.0, samples_used=0, converged=True)
+        factors, permuted = _pivoted_cholesky(problem.corr.entries[np.ix_(keep, keep)][None], limits[None])
+        factor, limits = factors[0], permuted[0]
     n = limits.size
-    if n == 1:
-        return MvnEstimate(value=float(ndtr(limits[0])), est_error=0.0, samples_used=0, converged=True)
-
-    factor, limits = _reordered_cholesky(matrix, limits)
     generator = _lattice_generator(n - 1)
     # Per-shift estimates accumulate across rounds (weighted by round
     # size), so every sample contributes to the final value and the error
@@ -281,7 +319,8 @@ def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
             prob = np.empty((len(shifts[block]), lattice_size))
             for lo in range(0, lattice_size, span):
                 hi = min(lo + span, lattice_size)
-                frac = _lattice_frac(generator, lo, hi, frac_buf)
+                if start == 0 or lattice_size > span:  # a one-slice lattice is built once a round
+                    frac = _lattice_frac(generator, lo, hi, frac_buf)
                 prob[:, lo:hi] = _sov_block(factor, limits, frac, shifts[block])
             shift_sums[block] += lattice_size * prob.mean(axis=1)
         weight += lattice_size

@@ -26,8 +26,9 @@ stays exact instead of inheriting the CDF engine's sampling noise.
 from __future__ import annotations
 
 import enum
-import functools
 import math
+import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -42,6 +43,7 @@ from .mvncdf import (
     MvnProblem,
     check_engine_settings,
     mvn_cdf,
+    pivot_problems,
     std_normal_quantile,
 )
 from .seeding import derive_seed
@@ -213,75 +215,156 @@ def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
     return Selection.AF if direct >= af_df_boundary(q.p_relay * lb.gamma_bar_rb, q.c_th) else Selection.DF
 
 
+class BestGainCdf:
+    """Gaussian-copula CDF of the best-port gain on one matrix, with one engine config.
+
+    Each threshold's estimate is memoized (the 4096 most recently used),
+    so a repeated threshold reaches the engine once.  Threads that miss on
+    the same threshold compute equal estimates (the engine is
+    deterministic).  :meth:`claim` sets up new thresholds ahead of their
+    lookups, for :func:`pivot_problems` to pivot in one stack; each lookup
+    still makes its own ``mvn_cdf`` call.  ``mvn_cdf`` is looked up at
+    call time, so a wrapper patched onto this module sees every engine
+    call.
+    """
+
+    _MEMO_SIZE = 4096
+
+    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig()):
+        self.corr = corr
+        self.config = config
+        self._memo: OrderedDict[float, MvnEstimate] = OrderedDict()
+        self._pending: dict[float, MvnProblem] = {}  # claimed, not yet evaluated
+        self._lock = threading.Lock()
+
+    def _problem(self, x: float) -> MvnProblem:
+        marginal = -np.expm1(-x)
+        marginal = min(max(marginal, _MARGINAL_LO), _MARGINAL_HI)
+        z = std_normal_quantile(marginal)
+        return MvnProblem(
+            corr=self.corr,
+            upper_limits=np.full(self.corr.dim, z),
+            target_abs_error=self.config.target_abs_error,
+            max_samples=self.config.max_samples,
+            seed=self.config.seed,
+        )
+
+    def claim(self, xs) -> list[MvnProblem]:
+        """Engine problems of the positive thresholds in ``xs`` not yet memoized or claimed.
+
+        Each waits for its lookup; :func:`pivot_problems` pivots them
+        meanwhile (a lookup that comes first pivots its problem itself).
+        """
+        if self.corr.dim < 2:  # evaluated exactly, nothing to pivot
+            return []
+        with self._lock:
+            new = [
+                x for x in dict.fromkeys(map(float, xs))
+                if x > 0 and x not in self._memo and x not in self._pending
+            ]
+            problems = [self._problem(x) for x in new]
+            self._pending.update(zip(new, problems))
+        return problems
+
+    def estimate(self, x: float) -> MvnEstimate:
+        """The CDF at ``x >= 0`` with the engine's error estimate, memoized."""
+        if not x >= 0:
+            raise ValueError(f"best-gain CDF argument x must be >= 0, got {x}")
+        if x == 0:
+            # Max of nonnegative variables: P(max <= 0) = 0 exactly.
+            return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
+        x = float(x)
+        with self._lock:
+            if x in self._memo:
+                self._memo.move_to_end(x)
+                return self._memo[x]
+            problem = self._pending.pop(x, None)
+        estimate = mvn_cdf(problem if problem is not None else self._problem(x))
+        with self._lock:
+            self._memo[x] = estimate
+            if len(self._memo) > self._MEMO_SIZE:
+                self._memo.popitem(last=False)
+        return estimate
+
+
+class OutageCdfs:
+    """The AF and DF best-gain CDFs behind :func:`outage_probabilities`.
+
+    Both are on ``corr``; their engine seeds are ``derive_seed(config.seed, 0)``
+    (AF) and ``derive_seed(config.seed, 1)`` (DF), derived once here.
+    """
+
+    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig()):
+        self.af = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 0)))
+        self.df = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 1)))
+
+    def prepare(self, thresholds) -> None:
+        """Claim the new thresholds of ``(AF, DF)`` pairs and pivot both schemes' in one stack."""
+        af, df = zip(*thresholds) if thresholds else ((), ())
+        pivot_problems(self.af.claim(af) + self.df.claim(df))
+
+
+def _as_cdf(kind: type, corr, config):
+    """``corr`` if it is a ``kind`` already (then without ``config``), else ``kind(corr, config)``."""
+    if isinstance(corr, kind):
+        if config is not None:
+            raise TypeError(f"a {kind.__name__} carries its own config")
+        return corr
+    return kind(corr, CopulaConfig() if config is None else config)
+
+
 def best_gain_cdf(
     x: float,
-    corr: CorrelationMatrix,
-    config: CopulaConfig = CopulaConfig(),
+    corr: CorrelationMatrix | BestGainCdf,
+    config: CopulaConfig | None = None,
 ) -> float:
-    """Gaussian-copula CDF of the best-port gain at ``x >= 0``."""
+    """Gaussian-copula CDF of the best-port gain at ``x >= 0``.
+
+    ``corr`` is the port correlation matrix (evaluated with ``config``,
+    default ``CopulaConfig()``) or a :class:`BestGainCdf`, whose memo then
+    serves the call.
+    """
     return best_gain_cdf_estimate(x, corr, config).value
 
 
 def best_gain_cdf_estimate(
     x: float,
-    corr: CorrelationMatrix,
-    config: CopulaConfig = CopulaConfig(),
+    corr: CorrelationMatrix | BestGainCdf,
+    config: CopulaConfig | None = None,
 ) -> MvnEstimate:
-    """Like :func:`best_gain_cdf` but exposing the engine's error estimate.
-
-    Repeated calls with equal ``x`` and ``config`` on the same ``corr``
-    object return the memoized estimate without running the engine again.
-    """
-    if not x >= 0:
-        raise ValueError(f"best-gain CDF argument x must be >= 0, got {x}")
-    if x == 0:
-        # Max of nonnegative variables: P(max <= 0) = 0 exactly.
-        return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
-    return _cdf_estimate(float(x), corr, config)
+    """Like :func:`best_gain_cdf` but exposing the engine's error estimate."""
+    return _as_cdf(BestGainCdf, corr, config).estimate(x)
 
 
-@functools.lru_cache(maxsize=4096)
-def _cdf_estimate(x: float, corr: CorrelationMatrix, config: CopulaConfig) -> MvnEstimate:
-    """Engine estimate behind :func:`best_gain_cdf_estimate`, memoized.
-
-    ``CorrelationMatrix`` hashes by identity, so the key is the matrix
-    object itself.  Threads that miss on the same key compute equal
-    values (the engine is deterministic).  ``mvn_cdf`` is looked up at
-    call time, so a wrapper patched onto this module sees every engine
-    call.
-    """
-    marginal = -np.expm1(-x)
-    marginal = min(max(marginal, _MARGINAL_LO), _MARGINAL_HI)
-    z = std_normal_quantile(marginal)
-    problem = MvnProblem(
-        corr=corr,
-        upper_limits=np.full(corr.dim, z),
-        target_abs_error=config.target_abs_error,
-        max_samples=config.max_samples,
-        seed=config.seed,
-    )
-    return mvn_cdf(problem)
+def _thresholds(q: OutageQuery, lb: LinkBudget) -> tuple[float, float] | None:
+    """Best-gain (AF, DF) thresholds of ``q``, or None when outage is certain either way."""
+    if q.p_user == 0 or mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= q.c_th:
+        return None
+    return max(xi_af(q, lb), 0.0), xi_df(q, lb)
 
 
 def outage_probabilities(
     q: OutageQuery,
     lb: LinkBudget,
-    corr: CorrelationMatrix,
-    config: CopulaConfig = CopulaConfig(),
+    corr: CorrelationMatrix | OutageCdfs,
+    config: CopulaConfig | None = None,
 ) -> OutageResult:
     """AF and DF outage probabilities plus the scheme selection.
 
-    The infeasible region (mean SNR sum <= C_th, boundary included)
-    returns exactly (1, 1, INFEASIBLE).  A nonpositive AF threshold
-    returns OP_AF exactly 0.
+    ``corr`` is the port correlation matrix (evaluated with ``config``,
+    default ``CopulaConfig()``) or an :class:`OutageCdfs`, whose memos
+    then serve the call.  The infeasible region (mean SNR sum <= C_th,
+    boundary included) returns exactly (1, 1, INFEASIBLE).  A nonpositive
+    AF threshold returns OP_AF exactly 0.
     """
     selection = select_scheme(q, lb)
-    if selection is Selection.INFEASIBLE or q.p_user == 0:
+    thresholds = _thresholds(q, lb)
+    if thresholds is None:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
-    threshold_af = max(xi_af(q, lb), 0.0)
-    threshold_df = xi_df(q, lb)
-    op_af = best_gain_cdf(threshold_af, corr, replace(config, seed=derive_seed(config.seed, 0)))
-    op_df = best_gain_cdf(threshold_df, corr, replace(config, seed=derive_seed(config.seed, 1)))
+    cdfs = _as_cdf(OutageCdfs, corr, config)
+    x_af, x_df = thresholds
+    op_af = best_gain_cdf(x_af, cdfs.af)
+    op_df = best_gain_cdf(x_df, cdfs.df)
     return OutageResult(op_af=op_af, op_df=op_df, selection=selection)
 
 
@@ -304,25 +387,28 @@ def op_surface(
 ) -> list[OpSurfacePoint]:
     """Outage probabilities over a power grid, row-major in (p_user, p_relay).
 
-    Every grid point uses the caller's ``config``, so the whole map shares
-    one engine seed (common random numbers): points with equal thresholds
-    get equal probabilities, and a repeated threshold (the DF threshold
-    depends on ``p_user`` only) is evaluated once, through the memo of
-    :func:`best_gain_cdf_estimate`.  With ``n_threads`` > 1 each
-    ``p_user`` row is one pool task, so no two threads race on a row's
-    DF threshold.  The table does not depend on evaluation order or
-    thread count.
+    The map builds one :class:`OutageCdfs` from ``corr`` and ``config``,
+    so its two engine seeds are derived once and every point shares them
+    (common random numbers): points with equal thresholds get equal
+    probabilities, and a repeated threshold (the DF threshold depends on
+    ``p_user`` only) is evaluated once, through the objects' memos.
+    Before each ``p_user`` row, the row's new thresholds of both schemes
+    are pivoted in one stack; each point then goes through
+    :func:`outage_probabilities` as on its own.  With ``n_threads`` > 1
+    each row is one pool task, so no two threads race on a row's DF
+    threshold.  The table does not depend on evaluation order or thread
+    count.
     """
     p_user_values = [float(p) for p in p_user_values]
     p_relay_values = [float(p) for p in p_relay_values]
     if not p_user_values or not p_relay_values:
         raise ValueError("op_surface requires a nonempty power grid")
+    cdfs = OutageCdfs(corr, config)
 
     def evaluate_row(pu):
-        return [
-            OpSurfacePoint(pu, pr, xi, outage_probabilities(OutageQuery(pu, pr, xi), lb, corr, config))
-            for pr in p_relay_values
-        ]
+        queries = [OutageQuery(pu, pr, xi) for pr in p_relay_values]
+        cdfs.prepare([pair for q in queries if (pair := _thresholds(q, lb)) is not None])
+        return [OpSurfacePoint(pu, q.p_relay, xi, outage_probabilities(q, lb, cdfs)) for q in queries]
 
     if n_threads is not None and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -4,7 +4,8 @@ These deliberately avoid the package's own solution paths: bandwidth is
 checked against a generic LP, power control against exhaustive grid
 search over the power box with the selection rule applied pointwise,
 special functions against series expansions, the blocked MVN kernel
-against the engine's earlier one-shift-at-a-time loop, and the sweep's
+against the engine's earlier one-shift-at-a-time loop, its stacked pivot
+against one problem pivoted at a time, and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
 (copied here as ``scalar_*``), the validator's streamed best-gain
@@ -229,7 +230,8 @@ def random_df_instance(rng):
 
 
 def _reordered_cholesky(matrix, limits):
-    """Greedy pivoted Cholesky, each residual diagonal recomputed from its row."""
+    """Greedy pivoted Cholesky of one problem, each residual diagonal recomputed from its row:
+    the oracle of the engine's stacked pivot."""
     a = np.array(matrix, dtype=float)
     b = np.array(limits, dtype=float)
     n = b.size

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import fluidrelay.cli as cli
-import fluidrelay.outage as outage
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,7 +55,6 @@ def test_busy_functions_record_calls(perfbench, tmp_path, workload):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
     argv = SMALL_ARGV[workload] + [str(scenario), "--threads", "1", "--out", str(tmp_path / "out.csv")]
-    outage._cdf_estimate.cache_clear()  # a memo warmed by another test hides mvn_cdf
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -70,6 +68,15 @@ def test_busy_functions_record_calls(perfbench, tmp_path, workload):
     metrics = spans.layer_metrics(tracer.spans)
     if workload == "outage_map":
         assert metrics["outage.points"] == 16
-        assert 0 < metrics["mvncdf.calls"] < metrics["outage.cdf_lookups"]
+        # Each point looks up its AF threshold, then its DF one; the schemes
+        # have their own engine seeds, so each evaluates its thresholds.
+        per_point = collections.defaultdict(list)
+        for span in tracer.spans:
+            if span.name == "best_gain_cdf":
+                per_point[id(span.parent)].append(span.info["x"])
+        thresholds = {(scheme, x) for xs in per_point.values() for scheme, x in enumerate(xs) if x > 0}
+        assert 0 < metrics["mvncdf.calls"] == len(thresholds) < metrics["outage.cdf_lookups"]
+        engine = [span for span in tracer.spans if span.name == "mvn_cdf"]
+        assert all(span.has_ancestor("outage_probabilities") for span in engine)
     if workload == "rate_sweep":
         assert all(metrics[f"harness.trial_us.{scheme}"] > 0 for scheme in spans.SCHEMES)

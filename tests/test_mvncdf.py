@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import mvn_cdf_per_shift
+from oracles import _reordered_cholesky, mvn_cdf_per_shift
 from scipy.special import ndtr
 
 from fluidrelay import (
@@ -15,7 +15,8 @@ from fluidrelay import (
     mvn_cdf,
     std_normal_quantile,
 )
-from fluidrelay.mvncdf import _NUM_SHIFTS, _round_shifts, _truncated_mean
+from fluidrelay import mvncdf
+from fluidrelay.mvncdf import _NUM_SHIFTS, _pivoted_cholesky, _round_shifts, _truncated_mean, pivot_problems
 from fluidrelay.seeding import substream
 
 
@@ -265,6 +266,76 @@ class TestLatticeSlices:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestLatticeBuilds:
+    def test_one_slice_lattice_built_once_per_round(self, default_grid_corr, monkeypatch):
+        builds = []
+        build = mvncdf._lattice_frac
+
+        def counting(generator, lo, hi, buf):
+            builds.append((lo, hi))
+            return build(generator, lo, hi, buf)
+
+        monkeypatch.setattr(mvncdf, "_lattice_frac", counting)
+        got = mvn_cdf(_unconverged_problem(default_grid_corr, max_samples=500_000))
+        # Rounds of 512..8192 points fit one slice: one build each.  The
+        # 16384-point round takes one shift per block and two slices a
+        # block; the truncated 9410-point round likewise.
+        one_slice = [(0, 512 << r) for r in range(5)]
+        assert builds == one_slice + [(0, 8192), (8192, 16384)] * 12 + [(0, 8192), (8192, 9410)] * 12
+        assert got.samples_used == 387_072 + 12 * 9410
+
+
+def _best_gain_limits(corr: CorrelationMatrix, xs) -> np.ndarray:
+    marginals = np.clip(-np.expm1(-np.asarray(xs)), 1e-12, 1.0 - 1e-12)
+    return np.repeat([[std_normal_quantile(m)] for m in marginals], corr.dim, axis=1)
+
+
+class TestStackedPivot:
+    """One stacked pivot reproduces the per-problem pivot bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid", [PortGrid(4, 4, 1.0, 1.0), PortGrid(6, 6, 2.0, 2.0), PortGrid(2, 3, 1.0, 1.0)]
+    )
+    def test_bits_match_per_problem_pivot(self, grid):
+        corr = build_correlation(grid)
+        limits = _best_gain_limits(corr, np.geomspace(1e-4, 20.0, 40))
+        stack = np.broadcast_to(corr.entries, (len(limits), corr.dim, corr.dim))
+        factors, permuted = _pivoted_cholesky(stack, limits)
+        for factor, lim, row in zip(factors, permuted, limits):
+            ref_factor, ref_limits = _reordered_cholesky(corr.entries, row)
+            assert np.array_equal(factor, ref_factor)
+            assert np.array_equal(lim, ref_limits)
+        # The thresholds do not all share one pivot order.
+        assert len({factor[:, 0].tobytes() for factor in factors}) > 1
+
+    def test_stack_of_one_and_mixed_matrices(self, default_grid_corr):
+        rng = np.random.default_rng(3)
+        corrs = [default_grid_corr, _random_corr(rng, 16), _random_corr(rng, 16)]
+        limits = rng.uniform(-2.0, 2.0, (3, 16))
+        factors, permuted = _pivoted_cholesky(np.stack([c.entries for c in corrs]), limits)
+        for corr, factor, lim, row in zip(corrs, factors, permuted, limits):
+            one_factor, one_limits = _pivoted_cholesky(corr.entries[None], row[None])
+            ref_factor, ref_limits = _reordered_cholesky(corr.entries, row)
+            assert np.array_equal(one_factor[0], ref_factor) and np.array_equal(factor, ref_factor)
+            assert np.array_equal(one_limits[0], ref_limits) and np.array_equal(lim, ref_limits)
+
+    def test_pivoted_problems_give_the_same_estimates(self, default_grid_corr):
+        problems = [
+            MvnProblem(corr=default_grid_corr, upper_limits=row, target_abs_error=1e-3, seed=9)
+            for row in _best_gain_limits(default_grid_corr, [0.05, 0.8, 2.5])
+        ]
+        plain = [mvn_cdf(problem) for problem in problems]
+        pivot_problems(problems)
+        assert all(problem._pivot is not None for problem in problems)
+        assert [mvn_cdf(problem) for problem in problems] == plain
+
+    @pytest.mark.parametrize("limits", [[0.3, np.inf], [0.3, -np.inf], [0.3]])
+    def test_pivot_problems_needs_finite_limits_in_two_dimensions(self, pair_corr, limits):
+        corr = pair_corr(0.4) if len(limits) == 2 else CorrelationMatrix.identity(1)
+        with pytest.raises(ValueError, match="finite limits in dimension >= 2"):
+            pivot_problems([MvnProblem(corr=corr, upper_limits=limits)])
 
 
 class TestRoundShifts:

@@ -27,13 +27,14 @@ from fluidrelay import (
 )
 import fluidrelay.outage as outage
 from fluidrelay.harness import empirical_best_gain_cdf
-from fluidrelay.mvncdf import MvnEstimate
-from fluidrelay.outage import CopulaConfig, best_gain_cdf_estimate, snr_threshold
+from fluidrelay.mvncdf import MvnEstimate, pivot_problems
+from fluidrelay.outage import BestGainCdf, CopulaConfig, OutageCdfs, best_gain_cdf_estimate, snr_threshold
+from fluidrelay.seeding import derive_seed
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Empty the CDF memo and count the engine calls made through ``outage``."""
+    """Count the engine calls made through ``outage``."""
     calls = []
     engine = outage.mvn_cdf
 
@@ -41,10 +42,8 @@ def engine_calls(monkeypatch):
         calls.append(problem)
         return engine(problem)
 
-    outage._cdf_estimate.cache_clear()
     monkeypatch.setattr(outage, "mvn_cdf", counting)
-    yield calls
-    outage._cdf_estimate.cache_clear()  # entries made through the counting wrapper
+    return calls
 
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
@@ -211,35 +210,35 @@ class TestBestGainCdf:
 
 class TestBestGainCdfMemo:
     def test_repeat_reaches_engine_once(self, default_grid_corr, engine_calls):
-        config = CopulaConfig(target_abs_error=5e-3, seed=5)
-        first = best_gain_cdf_estimate(1.3, default_grid_corr, config)
-        again = best_gain_cdf_estimate(1.3, default_grid_corr, config)
+        cdf = BestGainCdf(default_grid_corr, CopulaConfig(target_abs_error=5e-3, seed=5))
+        first = best_gain_cdf_estimate(1.3, cdf)
+        again = best_gain_cdf_estimate(1.3, cdf)
         assert len(engine_calls) == 1
         assert again == first
-        assert best_gain_cdf(1.3, default_grid_corr, config) == first.value
+        assert best_gain_cdf(1.3, cdf) == first.value
         assert len(engine_calls) == 1
 
     def test_each_key_part_reaches_engine(self, default_grid_corr, pair_corr, engine_calls):
         config = CopulaConfig(target_abs_error=5e-3, seed=5)
-        best_gain_cdf_estimate(1.3, default_grid_corr, config)
-        best_gain_cdf_estimate(1.4, default_grid_corr, config)
-        best_gain_cdf_estimate(1.3, default_grid_corr, CopulaConfig(target_abs_error=5e-3, seed=6))
-        best_gain_cdf_estimate(1.3, default_grid_corr, CopulaConfig(target_abs_error=4e-3, seed=5))
-        best_gain_cdf_estimate(1.3, pair_corr(0.3), config)
+        cdf = BestGainCdf(default_grid_corr, config)
+        cdf.estimate(1.3)
+        cdf.estimate(1.4)
+        BestGainCdf(default_grid_corr, CopulaConfig(target_abs_error=5e-3, seed=6)).estimate(1.3)
+        BestGainCdf(default_grid_corr, CopulaConfig(target_abs_error=4e-3, seed=5)).estimate(1.3)
+        BestGainCdf(pair_corr(0.3), config).estimate(1.3)
         assert len(engine_calls) == 5
         assert [problem.corr.dim for problem in engine_calls] == [16, 16, 16, 16, 2]
 
     def test_threads_share_memo_consistently(self, pair_corr, engine_calls):
-        corr = pair_corr(0.4)
-        config = CopulaConfig(target_abs_error=1e-2, seed=8)
+        cdf = BestGainCdf(pair_corr(0.4), CopulaConfig(target_abs_error=1e-2, seed=8))
         xs = [0.3, 0.6, 0.9, 1.2, 1.5]
-        expected = {x: best_gain_cdf_estimate(x, corr, config) for x in xs}
+        expected = {x: cdf.estimate(x) for x in xs}
         work = [xs[i % len(xs)] for i in range(400)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(lambda x: best_gain_cdf_estimate(x, corr, config), work, timeout=60))
+                results = list(pool.map(cdf.estimate, work, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected[x] for x in work]
@@ -252,24 +251,63 @@ class TestBestGainCdfMemo:
             calls.append(problem)
             return MvnEstimate(value=0.5, est_error=0.0, samples_used=12, converged=True)
 
-        outage._cdf_estimate.cache_clear()
         monkeypatch.setattr(outage, "mvn_cdf", fake_engine)
-        try:
-            corr = pair_corr(0.2)
-            config = CopulaConfig(seed=3)
-            size = outage._cdf_estimate.cache_info().maxsize
-            assert size == 4096
-            xs = [0.001 * (i + 1) for i in range(size + 1)]
-            for x in xs:
-                best_gain_cdf_estimate(x, corr, config)
-            assert outage._cdf_estimate.cache_info().currsize == size
-            assert len(calls) == size + 1
-            best_gain_cdf_estimate(xs[-1], corr, config)  # newest: still cached
-            assert len(calls) == size + 1
-            best_gain_cdf_estimate(xs[0], corr, config)  # oldest: evicted
-            assert len(calls) == size + 2
-        finally:
-            outage._cdf_estimate.cache_clear()
+        cdf = BestGainCdf(pair_corr(0.2), CopulaConfig(seed=3))
+        size = cdf._MEMO_SIZE
+        assert size == 4096
+        xs = [0.001 * (i + 1) for i in range(size + 1)]
+        for x in xs:
+            cdf.estimate(x)
+        assert len(cdf._memo) == size
+        assert len(calls) == size + 1
+        cdf.estimate(xs[-1])  # newest: still cached
+        assert len(calls) == size + 1
+        cdf.estimate(xs[0])  # oldest: evicted
+        assert len(calls) == size + 2
+
+    def test_matrix_call_builds_its_own_memo(self, default_grid_corr, engine_calls):
+        config = CopulaConfig(target_abs_error=5e-3, seed=5)
+        first = best_gain_cdf_estimate(1.3, default_grid_corr, config)
+        assert best_gain_cdf_estimate(1.3, default_grid_corr, config) == first
+        assert len(engine_calls) == 2
+
+    def test_object_carries_its_config(self, default_grid_corr):
+        cdf = BestGainCdf(default_grid_corr)
+        with pytest.raises(TypeError, match="carries its own config"):
+            best_gain_cdf(1.3, cdf, CopulaConfig())
+        q = OutageQuery(1.5, 0.5, XI_HALF)
+        with pytest.raises(TypeError, match="carries its own config"):
+            outage_probabilities(q, UNIT_BUDGET, OutageCdfs(default_grid_corr), CopulaConfig())
+
+    def test_prepared_thresholds_arrive_pivoted(self, default_grid_corr, engine_calls):
+        config = CopulaConfig(target_abs_error=5e-3, seed=5)
+        xs = [0.02, 0.7, 1.3, 4.0]
+        plain = [BestGainCdf(default_grid_corr, config).estimate(x) for x in xs]
+        cdf = BestGainCdf(default_grid_corr, config)
+        cdf.estimate(0.7)
+        del engine_calls[:]
+        claimed = cdf.claim([0.0, *xs, 1.3])  # zero, memoized and repeated thresholds are not claimed
+        assert sorted(cdf._pending) == [0.02, 1.3, 4.0]
+        pivot_problems(claimed)
+        assert [cdf.estimate(x) for x in xs] == plain
+        assert [problem._pivot is not None for problem in engine_calls] == [True, True, True]
+        assert cdf._pending == {}
+
+    def test_one_port_needs_no_pivot(self):
+        cdf = BestGainCdf(CorrelationMatrix.identity(1))
+        assert cdf.claim([1.0]) == []
+        assert cdf._pending == {}
+        assert cdf.estimate(math.log(2.0)).value == pytest.approx(0.5, abs=1e-9)
+
+    def test_outage_cdfs_derive_scheme_seeds(self, default_grid_corr):
+        config = CopulaConfig(target_abs_error=5e-3, seed=11)
+        cdfs = OutageCdfs(default_grid_corr, config)
+        assert cdfs.af.config == CopulaConfig(target_abs_error=5e-3, seed=derive_seed(11, 0))
+        assert cdfs.df.config == CopulaConfig(target_abs_error=5e-3, seed=derive_seed(11, 1))
+        assert cdfs.af.corr is cdfs.df.corr is default_grid_corr
+        q = OutageQuery(1.5, 0.5, XI_HALF)
+        via_matrix = outage_probabilities(q, UNIT_BUDGET, default_grid_corr, config)
+        assert outage_probabilities(q, UNIT_BUDGET, cdfs) == via_matrix
 
     def test_nan_argument_rejected(self, default_grid_corr):
         with pytest.raises(ValueError, match="argument x must be >= 0, got nan"):
@@ -421,7 +459,6 @@ class TestOpSurface:
         args = ([0.6, 0.8, 1.0, 1.2], [0.3, 0.5, 0.8, 1.1, 1.5, 2.0], XI_HALF, UNIT_BUDGET, default_grid_corr, config)
         serial = op_surface(*args)
         serial_calls = len(engine_calls)
-        outage._cdf_estimate.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

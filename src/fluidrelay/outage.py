@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -218,24 +216,24 @@ def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
 class BestGainCdf:
     """Gaussian-copula CDF of the best-port gain on one matrix, with one engine config.
 
-    Each threshold's estimate is memoized (the 4096 most recently used),
-    so a repeated threshold reaches the engine once.  Threads that miss on
-    the same threshold compute equal estimates (the engine is
-    deterministic).  :meth:`claim` sets up new thresholds ahead of their
-    lookups, for :func:`pivot_problems` to pivot in one stack; each lookup
-    still makes its own ``mvn_cdf`` call.  ``mvn_cdf`` is looked up at
-    call time, so a wrapper patched onto this module sees every engine
-    call.
+    Each threshold's estimate is memoized for the life of the object, so
+    a repeated threshold reaches the engine once.  ``thresholds`` are the
+    ones the object expects: their distinct positive values wait as
+    engine problems for their lookups, for :class:`OutageCdfs` to pivot
+    in one stack meanwhile.  Each lookup still makes its own ``mvn_cdf``
+    call, looked up at call time, so a wrapper patched onto this module
+    sees every engine call.  Threads that share an object and miss on the
+    same threshold at once each evaluate it, with equal estimates (the
+    engine is deterministic); :func:`op_surface` shares none.
     """
 
-    _MEMO_SIZE = 4096
-
-    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig()):
+    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig(), thresholds=()):
         self.corr = corr
         self.config = config
-        self._memo: OrderedDict[float, MvnEstimate] = OrderedDict()
-        self._pending: dict[float, MvnProblem] = {}  # claimed, not yet evaluated
-        self._lock = threading.Lock()
+        self._memo: dict[float, MvnEstimate] = {}
+        # Expected thresholds not yet evaluated; a 1-port CDF is exact and needs no pivot.
+        distinct = dict.fromkeys(x for x in map(float, thresholds) if x > 0 and corr.dim >= 2)
+        self._pending: dict[float, MvnProblem] = {x: self._problem(x) for x in distinct}
 
     def _problem(self, x: float) -> MvnProblem:
         marginal = -np.expm1(-x)
@@ -249,23 +247,6 @@ class BestGainCdf:
             seed=self.config.seed,
         )
 
-    def claim(self, xs) -> list[MvnProblem]:
-        """Engine problems of the positive thresholds in ``xs`` not yet memoized or claimed.
-
-        Each waits for its lookup; :func:`pivot_problems` pivots them
-        meanwhile (a lookup that comes first pivots its problem itself).
-        """
-        if self.corr.dim < 2:  # evaluated exactly, nothing to pivot
-            return []
-        with self._lock:
-            new = [
-                x for x in dict.fromkeys(map(float, xs))
-                if x > 0 and x not in self._memo and x not in self._pending
-            ]
-            problems = [self._problem(x) for x in new]
-            self._pending.update(zip(new, problems))
-        return problems
-
     def estimate(self, x: float) -> MvnEstimate:
         """The CDF at ``x >= 0`` with the engine's error estimate, memoized."""
         if not x >= 0:
@@ -274,16 +255,10 @@ class BestGainCdf:
             # Max of nonnegative variables: P(max <= 0) = 0 exactly.
             return MvnEstimate(value=0.0, est_error=0.0, samples_used=0, converged=True)
         x = float(x)
-        with self._lock:
-            if x in self._memo:
-                self._memo.move_to_end(x)
-                return self._memo[x]
+        estimate = self._memo.get(x)
+        if estimate is None:
             problem = self._pending.pop(x, None)
-        estimate = mvn_cdf(problem if problem is not None else self._problem(x))
-        with self._lock:
-            self._memo[x] = estimate
-            if len(self._memo) > self._MEMO_SIZE:
-                self._memo.popitem(last=False)
+            estimate = self._memo[x] = mvn_cdf(problem if problem is not None else self._problem(x))
         return estimate
 
 
@@ -291,17 +266,16 @@ class OutageCdfs:
     """The AF and DF best-gain CDFs behind :func:`outage_probabilities`.
 
     Both are on ``corr``; their engine seeds are ``derive_seed(config.seed, 0)``
-    (AF) and ``derive_seed(config.seed, 1)`` (DF), derived once here.
+    (AF) and ``derive_seed(config.seed, 1)`` (DF), derived once here.  The
+    ``(AF, DF)`` pairs in ``thresholds`` are the ones expected; both
+    schemes' engine problems for them are pivoted here in one stack.
     """
 
-    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig()):
-        self.af = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 0)))
-        self.df = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 1)))
-
-    def prepare(self, thresholds) -> None:
-        """Claim the new thresholds of ``(AF, DF)`` pairs and pivot both schemes' in one stack."""
+    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig(), thresholds=()):
         af, df = zip(*thresholds) if thresholds else ((), ())
-        pivot_problems(self.af.claim(af) + self.df.claim(df))
+        self.af = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 0)), af)
+        self.df = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 1)), df)
+        pivot_problems([*self.af._pending.values(), *self.df._pending.values()])
 
 
 def _as_cdf(kind: type, corr, config):
@@ -387,32 +361,37 @@ def op_surface(
 ) -> list[OpSurfacePoint]:
     """Outage probabilities over a power grid, row-major in (p_user, p_relay).
 
-    The map builds one :class:`OutageCdfs` from ``corr`` and ``config``,
-    so its two engine seeds are derived once and every point shares them
-    (common random numbers): points with equal thresholds get equal
-    probabilities, and a repeated threshold (the DF threshold depends on
-    ``p_user`` only) is evaluated once, through the objects' memos.
-    Before each ``p_user`` row, the row's new thresholds of both schemes
-    are pivoted in one stack; each point then goes through
-    :func:`outage_probabilities` as on its own.  With ``n_threads`` > 1
-    each row is one pool task, so no two threads race on a row's DF
-    threshold.  The table does not depend on evaluation order or thread
-    count.
+    Every point shares the map's two engine seeds, derived from
+    ``config`` (common random numbers): points with equal thresholds get
+    equal probabilities.  Each distinct ``p_user`` value is one row task,
+    evaluated once however often it repeats: the row builds its own
+    :class:`OutageCdfs` from its ``(AF, DF)`` thresholds, which pivots
+    them in one stack, and its memo evaluates a repeated threshold (the DF
+    threshold depends on ``p_user`` only) once.  Each point then goes
+    through :func:`outage_probabilities` as on its own.  With
+    ``n_threads`` > 1 the rows run in a pool; no two tasks share an
+    object, so the table and the engine calls do not depend on evaluation
+    order or thread count.
     """
     p_user_values = [float(p) for p in p_user_values]
     p_relay_values = [float(p) for p in p_relay_values]
     if not p_user_values or not p_relay_values:
         raise ValueError("op_surface requires a nonempty power grid")
-    cdfs = OutageCdfs(corr, config)
 
     def evaluate_row(pu):
         queries = [OutageQuery(pu, pr, xi) for pr in p_relay_values]
-        cdfs.prepare([pair for q in queries if (pair := _thresholds(q, lb)) is not None])
-        return [OpSurfacePoint(pu, q.p_relay, xi, outage_probabilities(q, lb, cdfs)) for q in queries]
+        cdfs = OutageCdfs(corr, config, [pair for q in queries if (pair := _thresholds(q, lb)) is not None])
+        return [outage_probabilities(q, lb, cdfs) for q in queries]
 
+    distinct = list(dict.fromkeys(p_user_values))
     if n_threads is not None and n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            rows = list(pool.map(evaluate_row, p_user_values))
+            results = list(pool.map(evaluate_row, distinct))
     else:
-        rows = map(evaluate_row, p_user_values)
-    return [point for row in rows for point in row]
+        results = map(evaluate_row, distinct)
+    rows = dict(zip(distinct, results))
+    return [
+        OpSurfacePoint(pu, pr, xi, result)
+        for pu in p_user_values
+        for pr, result in zip(p_relay_values, rows[pu])
+    ]

@@ -5,7 +5,8 @@ checked against a generic LP, power control against exhaustive grid
 search over the power box with the selection rule applied pointwise,
 special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, its stacked pivot
-against one problem pivoted at a time, and the sweep's
+against one problem pivoted at a time, the engine's estimates against
+the exact equicorrelated CDF (a 1-D integral), and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
 (copied here as ``scalar_*``), the validator's streamed best-gain
@@ -17,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import ndtr, ndtri
 
@@ -311,6 +313,25 @@ def mvn_cdf_per_shift(problem):
         samples_used=samples_used,
         converged=bool(est_error <= problem.target_abs_error),
     )
+
+
+def equicorrelated_mvn_cdf(n: int, rho: float, z: float) -> float:
+    """P(Z_1 <= z, ..., Z_n <= z) for standard normals with common correlation ``0 < rho < 1``.
+
+    Steck's 1-D integral ``∫ φ(t) Φ((z - √ρ t) / √(1-ρ))^n dt`` (Steck &
+    Owen 1962; Genz & Bretz 2009, §2.2), by adaptive quadrature: each Z_k
+    is ``√ρ T + √(1-ρ) X_k`` with T, X_k independent.  The integrand
+    peaks near ``t = z / √ρ``; beyond ``|t| = 15`` it is below 1e-48.
+    """
+    if not (n >= 1 and 0.0 < rho < 1.0):
+        raise ValueError(f"need n >= 1 and 0 < rho < 1, got n={n}, rho={rho}")
+    common, own = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def integrand(t):
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * float(ndtr((z - common * t) / own)) ** n
+
+    value, _ = quad(integrand, -15.0, 15.0, points=[z / common], epsabs=0.0, epsrel=1e-10, limit=200)
+    return value
 
 
 # The allocator as it was before trials became array axes: one channel

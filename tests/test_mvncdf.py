@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import _reordered_cholesky, mvn_cdf_per_shift
+from oracles import _reordered_cholesky, equicorrelated_mvn_cdf, mvn_cdf_per_shift
 from scipy.special import ndtr
 
 from fluidrelay import (
@@ -336,6 +336,31 @@ class TestStackedPivot:
         corr = pair_corr(0.4) if len(limits) == 2 else CorrelationMatrix.identity(1)
         with pytest.raises(ValueError, match="finite limits in dimension >= 2"):
             pivot_problems([MvnProblem(corr=corr, upper_limits=limits)])
+
+
+class TestExactReference:
+    """The engine against the exact equicorrelated CDF, from the body down to F ~ 3e-8."""
+
+    def test_oracle_matches_closed_forms(self):
+        # n = 1 is the marginal; rho -> 0 factorizes.
+        assert equicorrelated_mvn_cdf(1, 0.5, 0.7) == pytest.approx(float(ndtr(0.7)), rel=1e-9)
+        assert equicorrelated_mvn_cdf(4, 1e-12, -1.0) == pytest.approx(float(ndtr(-1.0)) ** 4, rel=1e-9)
+        # Orthant of a pair: 1/4 + asin(rho) / (2 pi).
+        assert equicorrelated_mvn_cdf(2, 0.5, 0.0) == pytest.approx(bivariate_orthant(0.5), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("z", [-3.0, -1.0, 0.0, 1.0])
+    def test_error_within_estimate(self, n, rho, z):
+        matrix = np.full((n, n), rho)
+        np.fill_diagonal(matrix, 1.0)
+        problem = MvnProblem(
+            corr=CorrelationMatrix(dim=n, entries=matrix, factor=np.linalg.cholesky(matrix)),
+            upper_limits=np.full(n, z),
+            target_abs_error=1e-3, max_samples=100_000, seed=7,
+        )
+        est = mvn_cdf(problem)
+        assert abs(est.value - equicorrelated_mvn_cdf(n, rho, z)) <= est.est_error
 
 
 class TestRoundShifts:

@@ -244,27 +244,6 @@ class TestBestGainCdfMemo:
         assert results == [expected[x] for x in work]
         assert len(engine_calls) == len(xs)
 
-    def test_memo_bounded_evicts_oldest(self, pair_corr, monkeypatch):
-        calls = []
-
-        def fake_engine(problem):
-            calls.append(problem)
-            return MvnEstimate(value=0.5, est_error=0.0, samples_used=12, converged=True)
-
-        monkeypatch.setattr(outage, "mvn_cdf", fake_engine)
-        cdf = BestGainCdf(pair_corr(0.2), CopulaConfig(seed=3))
-        size = cdf._MEMO_SIZE
-        assert size == 4096
-        xs = [0.001 * (i + 1) for i in range(size + 1)]
-        for x in xs:
-            cdf.estimate(x)
-        assert len(cdf._memo) == size
-        assert len(calls) == size + 1
-        cdf.estimate(xs[-1])  # newest: still cached
-        assert len(calls) == size + 1
-        cdf.estimate(xs[0])  # oldest: evicted
-        assert len(calls) == size + 2
-
     def test_matrix_call_builds_its_own_memo(self, default_grid_corr, engine_calls):
         config = CopulaConfig(target_abs_error=5e-3, seed=5)
         first = best_gain_cdf_estimate(1.3, default_grid_corr, config)
@@ -282,22 +261,22 @@ class TestBestGainCdfMemo:
     def test_prepared_thresholds_arrive_pivoted(self, default_grid_corr, engine_calls):
         config = CopulaConfig(target_abs_error=5e-3, seed=5)
         xs = [0.02, 0.7, 1.3, 4.0]
-        plain = [BestGainCdf(default_grid_corr, config).estimate(x) for x in xs]
-        cdf = BestGainCdf(default_grid_corr, config)
-        cdf.estimate(0.7)
+        cdf = BestGainCdf(default_grid_corr, config, [0.0, *xs, 1.3])  # zero and repeated thresholds are not pending
+        assert list(cdf._pending) == xs
+        cdfs = OutageCdfs(default_grid_corr, config, [(0.0, 0.7), (1.3, 0.7), (4.0, 0.02)])
+        assert list(cdfs.af._pending) == [1.3, 4.0]
+        assert list(cdfs.df._pending) == [0.7, 0.02]
+        lookups = [(cdfs.af, 1.3), (cdfs.af, 4.0), (cdfs.df, 0.7), (cdfs.df, 0.02)]
+        plain = [BestGainCdf(default_grid_corr, cdf.config).estimate(x) for cdf, x in lookups]
         del engine_calls[:]
-        claimed = cdf.claim([0.0, *xs, 1.3])  # zero, memoized and repeated thresholds are not claimed
-        assert sorted(cdf._pending) == [0.02, 1.3, 4.0]
-        pivot_problems(claimed)
-        assert [cdf.estimate(x) for x in xs] == plain
-        assert [problem._pivot is not None for problem in engine_calls] == [True, True, True]
-        assert cdf._pending == {}
+        assert [cdf.estimate(x) for cdf, x in lookups] == plain
+        assert [problem._pivot is not None for problem in engine_calls] == [True, True, True, True]
+        assert cdfs.af._pending == cdfs.df._pending == {}
 
     def test_one_port_needs_no_pivot(self):
-        cdf = BestGainCdf(CorrelationMatrix.identity(1))
-        assert cdf.claim([1.0]) == []
-        assert cdf._pending == {}
-        assert cdf.estimate(math.log(2.0)).value == pytest.approx(0.5, abs=1e-9)
+        cdfs = OutageCdfs(CorrelationMatrix.identity(1), CopulaConfig(), [(1.0, 2.0)])
+        assert cdfs.af._pending == cdfs.df._pending == {}
+        assert cdfs.af.estimate(math.log(2.0)).value == pytest.approx(0.5, abs=1e-9)
 
     def test_outage_cdfs_derive_scheme_seeds(self, default_grid_corr):
         config = CopulaConfig(target_abs_error=5e-3, seed=11)
@@ -467,6 +446,33 @@ class TestOpSurface:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert len(engine_calls) == 2 * serial_calls
+
+    def test_repeated_user_powers_evaluated_once(self, default_grid_corr, engine_calls):
+        # Each distinct p_user is one row task, so repeats neither race nor re-evaluate.
+        config = CopulaConfig(target_abs_error=5e-3, seed=9)
+        p_users = [0.8, 1.2, 0.8, 0.8, 1.2, 0.8]
+        p_relays = [0.3, 0.5, 0.8, 1.1, 1.5, 2.0]
+        args = (p_users, p_relays, XI_HALF, UNIT_BUDGET, default_grid_corr, config)
+        thresholds = set()
+        for pu in set(p_users):
+            for pr in p_relays:
+                q = OutageQuery(pu, pr, XI_HALF)
+                if select_scheme(q, UNIT_BUDGET) is not Selection.INFEASIBLE:
+                    thresholds.add(("df", xi_df(q, UNIT_BUDGET)))
+                    if xi_af(q, UNIT_BUDGET) > 0:
+                        thresholds.add(("af", xi_af(q, UNIT_BUDGET)))
+        serial = op_surface(*args, n_threads=1)
+        serial_calls = len(engine_calls)
+        del engine_calls[:]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = op_surface(*args, n_threads=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [p.p_user for p in threaded[:: len(p_relays)]] == p_users
+        assert threaded == serial
+        assert len(engine_calls) == serial_calls == len(thresholds)
 
     def test_common_random_numbers_across_map(self, default_grid_corr, engine_calls):
         config = CopulaConfig(target_abs_error=5e-3, seed=4)

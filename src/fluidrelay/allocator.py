@@ -150,6 +150,11 @@ def _rate_scale(snr):
     return np.log1p(snr) / math.log(2.0)
 
 
+def half_duplex_rate(bandwidth, snr):
+    """Half-duplex FDMA rate ``0.5 * bandwidth * log2(1 + snr)`` in bit/s."""
+    return 0.5 * bandwidth * _rate_scale(snr)
+
+
 def _selections(df):
     """``Selection.DF`` where ``df`` holds, else AF; a member for a scalar flag."""
     return _SELECTIONS[np.asarray(df, dtype=np.intp)]
@@ -386,7 +391,7 @@ def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
     when an SNR is not finite.
 
     The returned slices are nudged by ulps so that ``sum(b) <= total_bw``
-    and ``0.5 * b * log2(1 + snr) >= rate_min`` hold as exact
+    and ``half_duplex_rate(b, snr) >= rate_min`` hold as exact
     floating-point inequalities.
     """
     snrs = np.asarray(snrs, dtype=float)
@@ -437,7 +442,7 @@ def solve_system(users, total_bw: float, xi: float, gamma_ur_values) -> TrialAll
         bandwidth, errors = np.zeros(gammas.shape), [err] * len(gammas)
     else:
         bandwidth, errors = allocate_bandwidth_rows(snr, [cfg.rate_min for cfg in users], total_bw)
-        rate = 0.5 * bandwidth * _rate_scale(snr)
+        rate = half_duplex_rate(bandwidth, snr)
     return TrialAllocations(
         p_user=p_user,
         p_relay=p_relay,

@@ -26,7 +26,14 @@ from .allocator import solve_system
 from .channel import build_correlation
 from .errors import InfeasibleError, NumericalError
 from .mvncdf import DEFAULT_MAX_SAMPLES, DEFAULT_TARGET_ABS_ERROR
-from .harness import TrialDraws, draw_gamma_ur, empirical_best_gain_cdf, empirical_outage, run_sweep
+from .harness import (
+    TrialDraws,
+    binomial_std_err,
+    draw_gamma_ur,
+    empirical_best_gain_cdf,
+    empirical_outage,
+    run_sweep,
+)
 from .outage import (
     CopulaConfig,
     OutageQuery,
@@ -120,6 +127,12 @@ def cmd_op_surface(args) -> int:
     return EXIT_OK
 
 
+def _pass_rule(analytic: float, empirical: float, std_err: float) -> tuple[float, bool]:
+    """``(tolerance, within_budget)``: the larger of the fixed budget and 3 standard errors."""
+    tolerance = max(_VALIDATION_BUDGET, 3.0 * std_err)
+    return tolerance, abs(analytic - empirical) <= tolerance
+
+
 def cmd_validate(args) -> int:
     spec = load_scenario(args.scenario)
     config = CopulaConfig(args.target_error, args.max_samples, spec.seed)  # checked before any work
@@ -132,8 +145,7 @@ def cmd_validate(args) -> int:
     all_ok = True
     for i, point in enumerate(empirical):
         analytic = best_gain_cdf(point.x, corr, replace(config, seed=derive_seed(spec.seed, 100, i)))
-        tolerance = max(_VALIDATION_BUDGET, 3.0 * point.std_err)
-        ok = abs(analytic - point.cdf) <= tolerance
+        tolerance, ok = _pass_rule(analytic, point.cdf, point.std_err)
         all_ok &= ok
         rows.append(("cdf", point.x, None, None, "", analytic, point.cdf, point.std_err, tolerance, ok))
 
@@ -159,28 +171,14 @@ def cmd_validate(args) -> int:
             (Selection.AF, result.op_af, sampled.op_af),
             (Selection.DF, result.op_df, sampled.op_df),
         ):
-            std_err = math.sqrt(emp * (1.0 - emp) / args.trials)
-            tolerance = max(_VALIDATION_BUDGET, 3.0 * std_err)
-            ok = abs(analytic - emp) <= tolerance
+            std_err = binomial_std_err(emp, args.trials)
+            tolerance, ok = _pass_rule(analytic, emp, std_err)
             all_ok &= ok
             rows.append(("op", None, p_user, p_relay, scheme, analytic, emp, std_err, tolerance, ok))
 
-    _emit(
-        (
-            "kind",
-            "x",
-            "p_user_w",
-            "p_relay_w",
-            "scheme",
-            "analytic",
-            "empirical",
-            "std_err",
-            "tolerance",
-            "within_budget",
-        ),
-        rows,
-        args.out,
-    )
+    header = ("kind", "x", "p_user_w", "p_relay_w", "scheme", "analytic", "empirical", "std_err", "tolerance",
+              "within_budget")
+    _emit(header, rows, args.out)
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
@@ -191,55 +189,16 @@ def cmd_optimize(args) -> int:
     result = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
     if result.errors[0] is not None:
         raise result.errors[0]
-    rows = []
-    for k in range(len(scenario.users)):
-        rows.append(
-            (
-                "user",
-                k,
-                result.p_user[0, k],
-                result.p_relay[0, k],
-                result.scheme[0, k],
-                result.bandwidth[0, k],
-                result.snr[0, k],
-                result.rate[0, k],
-                None,
-                None,
-                None,
-            )
-        )
-    rows.append(
-        (
-            "summary",
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            int(np.argmax(result.snr[0])),
-            result.sum_rate[0],
-            True,
-        )
-    )
-    _emit(
-        (
-            "row",
-            "user",
-            "p_user_w",
-            "p_relay_w",
-            "scheme",
-            "bandwidth_hz",
-            "snr",
-            "rate_bps",
-            "best_user_index",
-            "sum_rate_bps",
-            "feasible",
-        ),
-        rows,
-        args.out,
-    )
+    rows = [
+        ("user", k, result.p_user[0, k], result.p_relay[0, k], result.scheme[0, k], result.bandwidth[0, k],
+         result.snr[0, k], result.rate[0, k], None, None, None)
+        for k in range(len(scenario.users))
+    ]
+    best = int(np.argmax(result.snr[0]))
+    rows.append(("summary", None, None, None, None, None, None, None, best, result.sum_rate[0], True))
+    header = ("row", "user", "p_user_w", "p_relay_w", "scheme", "bandwidth_hz", "snr", "rate_bps",
+              "best_user_index", "sum_rate_bps", "feasible")
+    _emit(header, rows, args.out)
     return EXIT_OK
 
 

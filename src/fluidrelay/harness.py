@@ -33,6 +33,7 @@ from .allocator import (
     allocate_bandwidth_rows,
     check_finite_snrs,
     derive_min_powers,
+    half_duplex_rate,
     optimize_powers,
     scheme_region,
     scheme_snr,
@@ -40,7 +41,6 @@ from .allocator import (
     snr_df,
     solve_system,
     sum_over_users,
-    _rate_scale,
 )
 from .channel import CorrelationMatrix, PortGrid, best_gain_sq, build_correlation, sample_gains
 from .errors import InfeasibleError
@@ -61,8 +61,12 @@ _SAMPLE_CHUNK = 1 << 15
 # Rows per sample_gains call inside a chunk: bounds the validator's temporaries.
 _DRAW_BLOCK = 1 << 10
 
-# Default dB windows for scenario randomization: the direct user->BS link
-# is weak (users far from the BS), the two relay hops are stronger.
+# Fixed parts of random_scenario: 5 MHz, 0.1 W power caps, -120 dBm
+# noise, and dB windows in which the direct user->BS link is weak (users
+# far from the BS) and the two relay hops are stronger.
+RANDOM_TOTAL_BW = 5e6
+RANDOM_P_MAX = 0.1
+RANDOM_SIGMA2 = 1e-15
 DEFAULT_ALPHA_UB_DB = (-115.0, -105.0)
 DEFAULT_ALPHA_UR_DB = (-95.0, -85.0)
 DEFAULT_ALPHA_RB_DB = (-95.0, -85.0)
@@ -173,48 +177,41 @@ def random_scenario(
     num_users: int,
     seed: int,
     grid: PortGrid = PortGrid(4, 4, 1.0, 1.0),
-    total_bw: float = 5e6,
     xi: float = 0.1,
     trials: int = 100,
-    p_user_max: float = 0.1,
-    p_relay_max: float = 0.1,
     rate_min: float = 0.5e6,
-    sigma2_relay: float = 1e-15,
-    sigma2_bs: float = 1e-15,
-    alpha_ub_db: tuple[float, float] = DEFAULT_ALPHA_UB_DB,
-    alpha_ur_db: tuple[float, float] = DEFAULT_ALPHA_UR_DB,
-    alpha_rb_db: tuple[float, float] = DEFAULT_ALPHA_RB_DB,
 ) -> Scenario:
     """Scenario with placement abstracted into log-uniform large-scale gains.
 
-    Users are ordered so the average direct-link gain increases with the
-    user index.  Minimum powers are derived as the smallest feasible
-    scaling of the maxima.
+    Bandwidth, power caps, noise and dB windows are the ``RANDOM_*`` and
+    ``DEFAULT_ALPHA_*_DB`` constants.  Users are ordered so the average
+    direct-link gain increases with the user index.  Minimum powers are
+    derived as the smallest feasible scaling of the maxima.
     """
     rng = substream(seed, 0xA1FA)
     c_th = snr_threshold(xi)
     users = []
     for _ in range(num_users):
         budget = LinkBudget(
-            alpha_ur=10.0 ** (rng.uniform(*alpha_ur_db) / 10.0),
-            alpha_ub=10.0 ** (rng.uniform(*alpha_ub_db) / 10.0),
-            alpha_rb=10.0 ** (rng.uniform(*alpha_rb_db) / 10.0),
-            sigma2_relay=sigma2_relay,
-            sigma2_bs=sigma2_bs,
+            alpha_ur=10.0 ** (rng.uniform(*DEFAULT_ALPHA_UR_DB) / 10.0),
+            alpha_ub=10.0 ** (rng.uniform(*DEFAULT_ALPHA_UB_DB) / 10.0),
+            alpha_rb=10.0 ** (rng.uniform(*DEFAULT_ALPHA_RB_DB) / 10.0),
+            sigma2_relay=RANDOM_SIGMA2,
+            sigma2_bs=RANDOM_SIGMA2,
         )
-        pu_min, pr_min = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
+        pu_min, pr_min = derive_min_powers(budget, RANDOM_P_MAX, RANDOM_P_MAX, c_th)
         users.append(
             UserConfig(
                 budget=budget,
-                p_user_max=p_user_max,
-                p_relay_max=p_relay_max,
+                p_user_max=RANDOM_P_MAX,
+                p_relay_max=RANDOM_P_MAX,
                 p_user_min=pu_min,
                 p_relay_min=pr_min,
                 rate_min=rate_min,
             )
         )
     return Scenario(
-        users=order_users_by_gain(users), grid=grid, total_bw=total_bw, xi=xi, seed=seed, trials=trials
+        users=order_users_by_gain(users), grid=grid, total_bw=RANDOM_TOTAL_BW, xi=xi, seed=seed, trials=trials
     )
 
 
@@ -260,6 +257,11 @@ def _best_gain_samples(corr: CorrelationMatrix, trials: int, seed: int) -> np.nd
     return out
 
 
+def binomial_std_err(p: float, trials: int) -> float:
+    """Standard error of a proportion ``p`` estimated from ``trials`` draws."""
+    return math.sqrt(p * (1.0 - p) / trials)
+
+
 def empirical_best_gain_cdf(corr: CorrelationMatrix, xs, trials: int, seed: int) -> list[CdfPoint]:
     """Empirical CDF of the best-port gain with binomial standard errors."""
     if trials < 10_000:
@@ -268,7 +270,7 @@ def empirical_best_gain_cdf(corr: CorrelationMatrix, xs, trials: int, seed: int)
     points = []
     for x in xs:
         p = float(np.count_nonzero(samples <= x) / trials)
-        points.append(CdfPoint(x=float(x), cdf=p, std_err=math.sqrt(p * (1.0 - p) / trials)))
+        points.append(CdfPoint(x=float(x), cdf=p, std_err=binomial_std_err(p, trials)))
     return points
 
 
@@ -315,7 +317,9 @@ class TrialDraws:
 
     Each (trial, user) channel stream is derived once and restarted from
     its first state for every port grid, so each grid reads the draws of
-    a fresh stream.  Power streams are derived only when asked for.
+    a fresh stream.  A one-port dimension's aperture sets no correlation,
+    so it is left out of the gains' key: the TAS grid shares every 1x1
+    grid's draw.  Power streams are derived only when asked for.
     """
 
     def __init__(self, seed: int, trials: int, num_users: int):
@@ -324,20 +328,21 @@ class TrialDraws:
         self.num_users = num_users
         rngs = [substream(seed, t, k, _CHANNEL_TAG) for t, k in np.ndindex(trials, num_users)]
         self._channel_streams = [(rng, rng.bit_generator.state) for rng in rngs]
-        self._best_gains: dict[PortGrid, np.ndarray] = {}
+        self._best_gains: dict[tuple, np.ndarray] = {}
         self._power_uniforms: np.ndarray | None = None
 
     def best_gains(self, grid: PortGrid) -> np.ndarray:
         """``(T, K)`` best-port |h|^2 on ``grid``: one ``sample_gains`` row per (trial, user) stream."""
-        if grid not in self._best_gains:
+        key = (grid.n1, grid.n2, grid.w1 if grid.n1 > 1 else 0.0, grid.w2 if grid.n2 > 1 else 0.0)
+        if key not in self._best_gains:
             corr = build_correlation(grid)
             rows = []
             for rng, start in self._channel_streams:
                 rng.bit_generator.state = start
                 rows.append(sample_gains(corr, rng, 1)[0])
             gains = np.reshape(rows, (self.trials, self.num_users, corr.dim))
-            self._best_gains[grid] = best_gain_sq(gains)
-        return self._best_gains[grid]
+            self._best_gains[key] = best_gain_sq(gains)
+        return self._best_gains[key]
 
     def power_uniforms(self) -> np.ndarray:
         """``(T, K, 2)`` (p_user, p_relay) uniforms, one ``random(2)`` per (trial, user) power stream."""
@@ -365,7 +370,7 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas):
             return np.zeros(len(gammas)), (err.reason,) * len(gammas)
         snr[:, k] = scheme_snr(scheme, pu, pr, triple)
     check_finite_snrs(snr)
-    rate = 0.5 * (total_bw / len(users)) * _rate_scale(snr)
+    rate = half_duplex_rate(total_bw / len(users), snr)
     short = np.any(rate < [u.rate_min for u in users], axis=1)
     reasons = tuple("INFEASIBLE_BANDWIDTH" if s else "" for s in short)
     return np.where(short, 0.0, sum_over_users(rate)), reasons
@@ -382,7 +387,7 @@ def _solve_random_power(users, total_bw, c_th, gammas, uniforms):
         scheme = scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
         snr[:, k] = scheme_snr(scheme, pu, pr, triple)
     bandwidth, errors = allocate_bandwidth_rows(snr, [u.rate_min for u in users], total_bw)
-    rate = 0.5 * bandwidth * _rate_scale(snr)
+    rate = half_duplex_rate(bandwidth, snr)
     return sum_over_users(rate), tuple("" if err is None else err.reason for err in errors)
 
 

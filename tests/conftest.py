@@ -7,9 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-# pyproject's ``pythonpath`` reaches only this process; the CLI tests start
-# ``python -m fluidrelay`` in subprocesses, which find the package through
-# PYTHONPATH instead.
+# pyproject's ``pythonpath`` reaches only this process; the few CLI tests
+# that start ``python -m fluidrelay`` in a subprocess (the entry point, A10,
+# cross-process bytes) find the package through PYTHONPATH instead.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))

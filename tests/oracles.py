@@ -6,7 +6,8 @@ search over the power box with the selection rule applied pointwise,
 special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, its stacked pivot
 against one problem pivoted at a time, the engine's estimates against
-the exact equicorrelated CDF (a 1-D integral), and the sweep's
+the exact equicorrelated CDF (a 1-D integral), the best-port model
+against its exact exchangeable form (another 1-D integral), and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
 (copied here as ``scalar_*``), the validator's streamed best-gain
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
-from scipy.special import ndtr, ndtri
+from scipy.special import chndtr, ndtr, ndtri
 
 from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig, derive_min_powers
 from fluidrelay import harness
@@ -331,6 +332,30 @@ def equicorrelated_mvn_cdf(n: int, rho: float, z: float) -> float:
         return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * float(ndtr((z - common * t) / own)) ** n
 
     value, _ = quad(integrand, -15.0, 15.0, points=[z / common], epsabs=0.0, epsrel=1e-10, limit=200)
+    return value
+
+
+def exchangeable_best_gain_cdf(n: int, rho: float, x: float) -> float:
+    """P(max_k |h_k|^2 <= x) for n Rayleigh ports with common correlation ``0 <= rho < 1``.
+
+    With ``h_k = √(1-ρ) a_k + √ρ a_0`` and every ``a`` i.i.d. CN(0, 1), the
+    ports are independent given ``r = |a_0|^2 ~ Exp(1)``, and
+    ``2|h_k|^2 / (1-ρ)`` is noncentral chi-square with 2 degrees of freedom
+    and noncentrality ``2ρr / (1-ρ)``.  So the CDF is
+    ``∫_0^∞ e^{-r} chndtr(2x/(1-ρ), 2, 2ρr/(1-ρ))^n dr`` (the exchangeable
+    model of Wong, Shojaeifard, Tong & Zhang, *IEEE Commun. Lett.* 2020),
+    by adaptive quadrature; at ρ = 0 it is ``(1 - e^{-x})^n``.
+    """
+    if not (n >= 1 and 0.0 <= rho < 1.0 and x >= 0.0):
+        raise ValueError(f"need n >= 1, 0 <= rho < 1 and x >= 0, got n={n}, rho={rho}, x={x}")
+    if rho == 0.0:
+        return (-math.expm1(-x)) ** n
+    scale = 2.0 / (1.0 - rho)
+
+    def integrand(r):
+        return math.exp(-r) * float(chndtr(scale * x, 2.0, scale * rho * r)) ** n
+
+    value, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)
     return value
 
 

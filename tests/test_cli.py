@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import subprocess
@@ -62,6 +64,22 @@ _CLI_TIMEOUT_S = 300
 
 
 def run_cli(*args):
+    """``fluidrelay.cli.main(args)`` in this process, with its exit code and captured output.
+
+    argparse's ``SystemExit`` becomes the return code.  Any other exception
+    escapes and fails the test, as a traceback would in a real run.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exit_:
+            code = exit_.code or 0
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """``python -m fluidrelay args`` in a fresh interpreter: the entry point, and bytes across processes."""
     return subprocess.run(
         [sys.executable, "-m", "fluidrelay", *args],
         capture_output=True,
@@ -193,7 +211,7 @@ class TestOpSurface:
         doc = base_doc()
         doc["users"][0]["alpha_ub"] = 1e-24  # mean SNR 1e-9 per watt: 3*C_th/SNR overflows
         path = write_doc(tmp_path, doc)
-        result = run_cli("op-surface", path, "--xi", "500")
+        result = run_module("op-surface", path, "--xi", "500")
         assert result.returncode == 2
         assert "overflows at xi=500.0" in result.stderr
         assert "--pu-range" in result.stderr and "--pr-range" in result.stderr
@@ -364,7 +382,7 @@ class TestOptimize:
         for user in doc["users"]:
             user["rate_min_bps"] = 1e12
         path = write_doc(tmp_path, doc)
-        result = run_cli("optimize", path)
+        result = run_module("optimize", path)
         assert result.returncode == 5
         assert "INFEASIBLE_BANDWIDTH" in result.stderr
 
@@ -383,7 +401,7 @@ class TestOptimize:
         assert out.read_text().startswith("row,user,")
 
     def test_default_scenario_bytes(self):
-        result = run_cli("optimize", DEFAULT_SCENARIO)
+        result = run_module("optimize", DEFAULT_SCENARIO)
         assert result.returncode == 0, result.stderr
         assert result.stdout == (
             "row,user,p_user_w,p_relay_w,scheme,bandwidth_hz,snr,rate_bps,best_user_index,sum_rate_bps,feasible\n"
@@ -436,7 +454,7 @@ class TestOptimize:
         doc["system"].update(xi_bits=300.0, trials=2)
         for user in doc["users"]:
             user["p_user_max_w"] = user["p_relay_max_w"] = 1e178
-        result = run_cli(command, write_doc(tmp_path, doc))
+        result = run_module(command, write_doc(tmp_path, doc))
         assert result.returncode == 3
         assert "overflows the DF subproblem" in result.stderr
         assert "Traceback" not in result.stderr
@@ -519,16 +537,16 @@ class TestDeterminism:
             sweep={"variable": "num_ports", "values": [1, 3], "schemes": ["proposed", "random_power"]}
         )
         path = write_doc(tmp_path, doc)
-        single = run_cli("sweep", path, "--threads", "1")
-        eight = run_cli("sweep", path, "--threads", "8")
+        single = run_module("sweep", path, "--threads", "1")
+        eight = run_module("sweep", path, "--threads", "8")
         assert single.returncode == eight.returncode == 0
         assert single.stdout == eight.stdout
 
     def test_op_surface_bytes_identical_across_threads(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         args = ("op-surface", path, "--steps", "5", "--target-error", "5e-3")
-        single = run_cli(*args, "--threads", "1")
-        eight = run_cli(*args, "--threads", "8")
+        single = run_module(*args, "--threads", "1")
+        eight = run_module(*args, "--threads", "8")
         assert single.returncode == eight.returncode == 0
         assert single.stdout == eight.stdout
 

@@ -33,7 +33,7 @@ from fluidrelay.harness import (
     run_sweep,
 )
 from fluidrelay.outage import CopulaConfig, best_gain_cdf, outage_probabilities
-from fluidrelay.seeding import substream
+from fluidrelay.seeding import derive_seed, substream
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 
@@ -379,9 +379,18 @@ class TestSharedDraws:
         original = harness.sample_gains
         monkeypatch.setattr(harness, "sample_gains", lambda *args: draws.append(args) or original(*args))
         run_sweep(scenario, SweepSpec(variable="num_ports", values=(1, 2, 3)))
-        # Sides 1, 2, 3 and the TAS grid: four correlation matrices.
-        assert len(draws) == 4 * scenario.trials * len(scenario.users)
-        assert Counter(corr.dim for corr, _, _ in draws) == Counter({1: 24, 4: 12, 9: 12})
+        # Sides 1, 2, 3: three correlation matrices; the TAS grid is side 1's.
+        assert len(draws) == 3 * scenario.trials * len(scenario.users)
+        assert Counter(corr.dim for corr, _, _ in draws) == Counter({1: 12, 4: 12, 9: 12})
+
+    def test_tas_shares_the_one_port_draw(self, monkeypatch):
+        # A 1x1 grid's correlation is [[1]] whatever its aperture.
+        scenario = random_scenario(num_users=3, seed=23, trials=4)
+        draws = []
+        original = harness.sample_gains
+        monkeypatch.setattr(harness, "sample_gains", lambda *args: draws.append(args) or original(*args))
+        run_sweep(scenario, SweepSpec(variable="num_ports", values=(1, 2), schemes=(PROPOSED, TAS)))
+        assert len(draws) == scenario.trials * len(scenario.users) * 2
 
     def test_draws_for_another_seed_rejected(self):
         scenario = random_scenario(num_users=2, seed=3, trials=2)
@@ -435,3 +444,21 @@ class TestDrawArrays:
         first = draws.best_gains(PortGrid(2, 3, 1.0, 0.5))
         assert draws.best_gains(PortGrid(2, 3, 1.0, 0.5)) is first
         assert len(calls) == 4 * 2
+
+
+class TestStreamKeyCoincidences:
+    """``SeedSequence`` ignores trailing zero words, so some keys share a stream (pinned, not endorsed)."""
+
+    def test_trailing_zeros_address_the_same_stream(self):
+        assert substream(5, 3, 0).random(4).tolist() == substream(5, 3).random(4).tolist()
+        assert derive_seed(5, 3, 0) == derive_seed(5, 3)
+
+    def test_validate_chunk_zero_is_trial_zero_user_zero(self):
+        grid = PortGrid(2, 2, 1.0, 1.0)
+        (chunk,) = harness._best_gain_blocks(build_correlation(grid), 1, 2024)
+        assert chunk[0].hex() == TrialDraws(2024, 1, 1).best_gains(grid)[0, 0].hex()
+
+    def test_random_scenario_stream_is_a_channel_stream(self):
+        # Trial 41466 (0xA1FA), user 0.
+        channel = substream(2024, 41466, 0, harness._CHANNEL_TAG)
+        assert substream(2024, 0xA1FA).random(4).tolist() == channel.random(4).tolist()

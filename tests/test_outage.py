@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import exchangeable_best_gain_cdf
 from scipy.optimize import brentq
 
 from fluidrelay import (
@@ -206,6 +207,32 @@ class TestBestGainCdf:
             for point in empirical:
                 copula = best_gain_cdf(point.x, corr, CopulaConfig(seed=13))
                 assert abs(copula - point.cdf) <= 0.05
+
+
+class TestExchangeableReference:
+    """The exact best-port CDF of an equicorrelated Rayleigh model (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("rho", [0.3, 0.9])
+    @pytest.mark.parametrize("x", [0.2, 2.0])
+    def test_one_port_is_exponential(self, rho, x):
+        assert exchangeable_best_gain_cdf(1, rho, x) == pytest.approx(-math.expm1(-x), rel=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-9])
+    def test_uncorrelated_is_product(self, rho):
+        assert exchangeable_best_gain_cdf(4, rho, 0.5) == pytest.approx((-math.expm1(-0.5)) ** 4, rel=1e-6)
+
+    @pytest.mark.parametrize("n, rho, x", [(4, 0.5, 0.5), (16, 0.9, 1.0)])
+    def test_monte_carlo_within_four_standard_errors(self, n, rho, x):
+        # h_k = sqrt(1 - rho) a_k + sqrt(rho) a_0, all a i.i.d. CN(0, 1), in blocks of 5e4 draws.
+        rng = np.random.default_rng(2020)
+        draws, hits = 400_000, 0
+        for _ in range(draws // 50_000):
+            a = (rng.standard_normal((50_000, n + 1)) + 1j * rng.standard_normal((50_000, n + 1))) / math.sqrt(2)
+            h = math.sqrt(1.0 - rho) * a[:, 1:] + math.sqrt(rho) * a[:, :1]
+            hits += np.count_nonzero(np.max(np.abs(h) ** 2, axis=1) <= x)
+        p = hits / draws
+        exact = exchangeable_best_gain_cdf(n, rho, x)
+        assert abs(p - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
 
 
 class TestBestGainCdfMemo:

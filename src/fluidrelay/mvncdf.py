@@ -27,11 +27,12 @@ Cholesky rule: each step takes the remaining variable with the smallest
 conditional probability (evaluated at the truncated-normal means of the
 already-fixed variables).  This generalizes sorting the limits and cuts
 the integrand variance; estimates stay permutation-consistent within
-their error bound.  The pivot runs over a stack of problems:
+their error bound.  The pivot runs over a stack of limit vectors:
 ``mvn_cdf`` pivots its one problem as a stack of one, and
-``pivot_problems`` pivots many problems of one dimension in one pass
-ahead of their calls (an ``op_surface`` row's new thresholds), with the
-same bits per problem.  All randomness comes from seeded substreams keyed by
+``pivot_limits`` pivots many limit vectors on one matrix in one pass
+(an ``op_surface`` row's thresholds), with the same bits per vector;
+each result is handed to its ``mvn_cdf`` call as an argument.  All
+randomness comes from seeded substreams keyed by
 (seed, round, shift), so results do not depend on scheduling or worker
 counts; each round's shifts are drawn once per (seed, round, dimension)
 and shared by every call that asks for them.
@@ -41,8 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -87,8 +87,6 @@ class MvnProblem:
     target_abs_error: float = DEFAULT_TARGET_ABS_ERROR
     max_samples: int = DEFAULT_MAX_SAMPLES
     seed: int = 0
-    # Pivoted factor and limits attached by pivot_problems, read by mvn_cdf.
-    _pivot: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         limits = np.array(self.upper_limits, dtype=float)
@@ -214,23 +212,19 @@ def _pivoted_cholesky(matrices: np.ndarray, limits: np.ndarray) -> tuple[np.ndar
     return factor, b
 
 
-def pivot_problems(problems: Sequence[MvnProblem]) -> None:
-    """Pivot the problems' factors in one stack, ahead of their :func:`mvn_cdf` calls.
+def pivot_limits(corr: CorrelationMatrix, limits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pivoted factor and limits for each row of ``limits`` on ``corr``, in one stack.
 
-    Each problem carries its pivoted factor and limits to its engine call
-    (one stacked pass costs about what one problem alone does).  The
-    problems must share one dimension >= 2 and have finite limits, as
-    best-gain CDF thresholds do; :func:`mvn_cdf` pivots any problem that
-    arrives without one.
+    Hand each pair to :func:`mvn_cdf` with the problem of its row (one
+    stacked pass costs about what one problem alone does).  The limits
+    must be finite and ``corr.dim >= 2``, as for the best-gain CDF's
+    problems; the matrix is broadcast over the rows, not copied.
     """
-    if not problems:
-        return
-    limits = np.stack([problem.upper_limits for problem in problems])
-    if limits.shape[1] < 2 or not np.all(np.isfinite(limits)):
-        raise ValueError("pivot_problems needs finite limits in dimension >= 2")
-    factors, limits = _pivoted_cholesky(np.stack([problem.corr.entries for problem in problems]), limits)
-    for problem, factor, permuted in zip(problems, factors, limits):
-        object.__setattr__(problem, "_pivot", (factor, permuted))
+    limits = np.asarray(limits, dtype=float)
+    if corr.dim < 2 or limits.ndim != 2 or limits.shape[1] != corr.dim or not np.all(np.isfinite(limits)):
+        raise ValueError("pivot_limits needs an (M, corr.dim) stack of finite limits in dimension >= 2")
+    factors, permuted = _pivoted_cholesky(np.broadcast_to(corr.entries, (len(limits), corr.dim, corr.dim)), limits)
+    return list(zip(factors, permuted))
 
 
 def _sov_block(
@@ -272,16 +266,16 @@ def _sov_block(
     return prob.reshape(len(shifts), count)
 
 
-def mvn_cdf(problem: MvnProblem) -> MvnEstimate:
+def mvn_cdf(problem: MvnProblem, pivot: tuple[np.ndarray, np.ndarray] | None = None) -> MvnEstimate:
     """Estimate P(Z <= upper_limits) for Z ~ N(0, corr).
 
     A limit of -inf short-circuits to 0; +inf coordinates are dropped
-    (exact marginalization).  The 1-D case is evaluated exactly.  A
-    problem pivoted by :func:`pivot_problems` skips those checks and its
-    own pivoting.
+    (exact marginalization).  The 1-D case is evaluated exactly.  With
+    ``pivot``, the problem's pair from :func:`pivot_limits`, the call
+    skips those checks and its own pivoting.
     """
-    if problem._pivot is not None:
-        factor, limits = problem._pivot
+    if pivot is not None:
+        factor, limits = pivot
     else:
         limits = problem.upper_limits
         if np.any(np.isneginf(limits)):

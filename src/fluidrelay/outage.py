@@ -41,7 +41,7 @@ from .mvncdf import (
     MvnProblem,
     check_engine_settings,
     mvn_cdf,
-    pivot_problems,
+    pivot_limits,
     std_normal_quantile,
 )
 from .seeding import derive_seed
@@ -213,39 +213,31 @@ def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
     return Selection.AF if direct >= af_df_boundary(q.p_relay * lb.gamma_bar_rb, q.c_th) else Selection.DF
 
 
+def _best_gain_limits(x: float, dim: int) -> np.ndarray:
+    """Copula limits of the best-gain CDF at ``x > 0``: the clamped marginal's normal quantile on every port."""
+    marginal = min(max(-np.expm1(-x), _MARGINAL_LO), _MARGINAL_HI)
+    return np.full(dim, std_normal_quantile(marginal))
+
+
 class BestGainCdf:
     """Gaussian-copula CDF of the best-port gain on one matrix, with one engine config.
 
     Each threshold's estimate is memoized for the life of the object, so
-    a repeated threshold reaches the engine once.  ``thresholds`` are the
-    ones the object expects: their distinct positive values wait as
-    engine problems for their lookups, for :class:`OutageCdfs` to pivot
-    in one stack meanwhile.  Each lookup still makes its own ``mvn_cdf``
-    call, looked up at call time, so a wrapper patched onto this module
-    sees every engine call.  Threads that share an object and miss on the
-    same threshold at once each evaluate it, with equal estimates (the
-    engine is deterministic); :func:`op_surface` shares none.
+    a repeated threshold reaches the engine once.  ``pivots`` maps
+    thresholds to their :func:`pivot_limits` pairs on ``corr``; it is only
+    read, and a threshold it holds reaches the engine already pivoted.
+    Each lookup makes its own ``mvn_cdf`` call, looked up at call time,
+    so a wrapper patched onto this module sees every engine call.
+    Threads that share an object and miss on the same threshold at once
+    each evaluate it, with equal estimates (the engine is deterministic);
+    :func:`op_surface` shares none.
     """
 
-    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig(), thresholds=()):
+    def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig(), pivots=None):
         self.corr = corr
         self.config = config
+        self._pivots = pivots or {}
         self._memo: dict[float, MvnEstimate] = {}
-        # Expected thresholds not yet evaluated; a 1-port CDF is exact and needs no pivot.
-        distinct = dict.fromkeys(x for x in map(float, thresholds) if x > 0 and corr.dim >= 2)
-        self._pending: dict[float, MvnProblem] = {x: self._problem(x) for x in distinct}
-
-    def _problem(self, x: float) -> MvnProblem:
-        marginal = -np.expm1(-x)
-        marginal = min(max(marginal, _MARGINAL_LO), _MARGINAL_HI)
-        z = std_normal_quantile(marginal)
-        return MvnProblem(
-            corr=self.corr,
-            upper_limits=np.full(self.corr.dim, z),
-            target_abs_error=self.config.target_abs_error,
-            max_samples=self.config.max_samples,
-            seed=self.config.seed,
-        )
 
     def estimate(self, x: float) -> MvnEstimate:
         """The CDF at ``x >= 0`` with the engine's error estimate, memoized."""
@@ -257,8 +249,14 @@ class BestGainCdf:
         x = float(x)
         estimate = self._memo.get(x)
         if estimate is None:
-            problem = self._pending.pop(x, None)
-            estimate = self._memo[x] = mvn_cdf(problem if problem is not None else self._problem(x))
+            problem = MvnProblem(
+                corr=self.corr,
+                upper_limits=_best_gain_limits(x, self.corr.dim),
+                target_abs_error=self.config.target_abs_error,
+                max_samples=self.config.max_samples,
+                seed=self.config.seed,
+            )
+            estimate = self._memo[x] = mvn_cdf(problem, self._pivots.get(x))
         return estimate
 
 
@@ -267,15 +265,18 @@ class OutageCdfs:
 
     Both are on ``corr``; their engine seeds are ``derive_seed(config.seed, 0)``
     (AF) and ``derive_seed(config.seed, 1)`` (DF), derived once here.  The
-    ``(AF, DF)`` pairs in ``thresholds`` are the ones expected; both
-    schemes' engine problems for them are pivoted here in one stack.
+    distinct positive values among the ``(AF, DF)`` pairs in
+    ``thresholds`` are pivoted here in one stack (a 1-port CDF is exact
+    and needs none), and both objects read that one dict.
     """
 
     def __init__(self, corr: CorrelationMatrix, config: CopulaConfig = CopulaConfig(), thresholds=()):
-        af, df = zip(*thresholds) if thresholds else ((), ())
-        self.af = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 0)), af)
-        self.df = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 1)), df)
-        pivot_problems([*self.af._pending.values(), *self.df._pending.values()])
+        distinct = dict.fromkeys(x for pair in thresholds for x in map(float, pair) if x > 0)
+        pivots = {}
+        if distinct and corr.dim >= 2:
+            pivots = dict(zip(distinct, pivot_limits(corr, [_best_gain_limits(x, corr.dim) for x in distinct])))
+        self.af = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 0)), pivots)
+        self.df = BestGainCdf(corr, replace(config, seed=derive_seed(config.seed, 1)), pivots)
 
 
 def _as_cdf(kind: type, corr, config):

@@ -7,7 +7,9 @@ special functions against series expansions, the blocked MVN kernel
 against the engine's earlier one-shift-at-a-time loop, its stacked pivot
 against one problem pivoted at a time, the engine's estimates against
 the exact equicorrelated CDF (a 1-D integral), the best-port model
-against its exact exchangeable form (another 1-D integral), and the sweep's
+against its exact exchangeable form (another 1-D integral) and, on any
+matrix, against a separation-of-variables estimator of the Rayleigh model
+itself, and the sweep's
 shared draws and array solvers against one fresh stream per (scheme,
 trial, user) solved by the allocator's earlier per-trial scalar code
 (copied here as ``scalar_*``), the validator's streamed best-gain
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
-from scipy.special import chndtr, ndtr, ndtri
+from scipy.special import chndtr, chndtrix, ndtr, ndtri
 
 from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig, derive_min_powers
 from fluidrelay import harness
@@ -357,6 +359,35 @@ def exchangeable_best_gain_cdf(n: int, rho: float, x: float) -> float:
 
     value, _ = quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-10, limit=200)
     return value
+
+
+def rayleigh_best_gain_sov(corr, x: float, samples: int, rng) -> tuple[float, float]:
+    """P(max_k |h_k|^2 <= x) for ``h ~ CN(0, J)``: the mean and its standard error.
+
+    Separation of variables on the Rayleigh model itself, not on a copula.
+    With ``h = L z`` (``L = corr.factor``, real lower Cholesky; ``z`` i.i.d.
+    CN(0, 1)), port ``k`` given ports ``< k`` is CN(m_k, L_kk^2) with
+    ``m_k = Σ_{j<k} L_kj z_j``, so ``2|h_k|^2 / L_kk^2`` is noncentral
+    chi-square (2 degrees of freedom, noncentrality ``2|m_k|^2 / L_kk^2``).
+    Each sample multiplies the conditional probabilities
+    ``p_k = chndtr(2x / L_kk^2, 2, nc_k)`` and draws port ``k`` inside its
+    disk: the radius by ``r^2 = L_kk^2 / 2 · chndtrix(U p_k, 2, nc_k)``, the
+    angle from a von Mises law with mean ``arg m_k`` and concentration
+    ``2 r |m_k| / L_kk^2``.  Unbiased; degrades where ``L_kk`` is tiny.
+    """
+    factor = np.asarray(corr.factor, dtype=float)
+    z = np.zeros((samples, corr.dim), dtype=complex)
+    weight = np.ones(samples)
+    for k in range(corr.dim):
+        sigma2 = factor[k, k] ** 2
+        mean = z[:, :k] @ factor[k, :k]
+        noncentrality = 2.0 * np.abs(mean) ** 2 / sigma2
+        p = chndtr(2.0 * x / sigma2, 2.0, noncentrality)
+        weight *= p
+        radius = np.sqrt(0.5 * sigma2 * chndtrix(rng.random(samples) * p, 2.0, noncentrality))
+        angle = np.angle(mean) + rng.vonmises(0.0, 2.0 * radius * np.abs(mean) / sigma2)
+        z[:, k] = (radius * np.exp(1j * angle) - mean) / factor[k, k]
+    return float(weight.mean()), float(weight.std(ddof=1) / math.sqrt(samples))
 
 
 # The allocator as it was before trials became array axes: one channel

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import _reordered_cholesky, equicorrelated_mvn_cdf, mvn_cdf_per_shift
 from scipy.special import ndtr
 
@@ -16,7 +18,7 @@ from fluidrelay import (
     std_normal_quantile,
 )
 from fluidrelay import mvncdf
-from fluidrelay.mvncdf import _NUM_SHIFTS, _pivoted_cholesky, _round_shifts, _truncated_mean, pivot_problems
+from fluidrelay.mvncdf import _NUM_SHIFTS, _pivoted_cholesky, _round_shifts, _truncated_mean, pivot_limits
 from fluidrelay.seeding import substream
 
 
@@ -322,20 +324,58 @@ class TestStackedPivot:
             assert np.array_equal(one_limits[0], ref_limits) and np.array_equal(lim, ref_limits)
 
     def test_pivoted_problems_give_the_same_estimates(self, default_grid_corr):
+        limits = _best_gain_limits(default_grid_corr, [0.05, 0.8, 2.5])
         problems = [
-            MvnProblem(corr=default_grid_corr, upper_limits=row, target_abs_error=1e-3, seed=9)
-            for row in _best_gain_limits(default_grid_corr, [0.05, 0.8, 2.5])
+            MvnProblem(corr=default_grid_corr, upper_limits=row, target_abs_error=1e-3, seed=9) for row in limits
         ]
         plain = [mvn_cdf(problem) for problem in problems]
-        pivot_problems(problems)
-        assert all(problem._pivot is not None for problem in problems)
-        assert [mvn_cdf(problem) for problem in problems] == plain
+        pivots = pivot_limits(default_grid_corr, limits)
+        assert [mvn_cdf(problem, pivot) for problem, pivot in zip(problems, pivots)] == plain
 
     @pytest.mark.parametrize("limits", [[0.3, np.inf], [0.3, -np.inf], [0.3]])
-    def test_pivot_problems_needs_finite_limits_in_two_dimensions(self, pair_corr, limits):
+    def test_pivot_limits_needs_finite_limits_in_two_dimensions(self, pair_corr, limits):
         corr = pair_corr(0.4) if len(limits) == 2 else CorrelationMatrix.identity(1)
         with pytest.raises(ValueError, match="finite limits in dimension >= 2"):
-            pivot_problems([MvnProblem(corr=corr, upper_limits=limits)])
+            pivot_limits(corr, [limits])
+
+
+@st.composite
+def _engine_cases(draw):
+    """A random 2-5 port correlation matrix and finite limits, half the time all equal."""
+    dim = draw(st.integers(2, 5))
+    corr = _random_corr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), dim)
+    if draw(st.booleans()):  # equal limits, as best-gain problems have
+        limits = np.full(dim, draw(st.floats(-2.5, 2.5)))
+    else:
+        limits = np.array(draw(st.lists(st.floats(-2.5, 2.5), min_size=dim, max_size=dim)))
+    return corr, limits
+
+
+def _engine(corr, limits):
+    return mvn_cdf(MvnProblem(corr=corr, upper_limits=limits, target_abs_error=1e-3, seed=4))
+
+
+class TestEngineProperties:
+    """The engine's contract on random matrices, each check within the summed ``est_error``."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=_engine_cases(), data=st.data())
+    def test_consistent_under_permutation(self, case, data):
+        corr, limits = case
+        order = np.array(data.draw(st.permutations(range(corr.dim))))
+        matrix = corr.entries[np.ix_(order, order)]
+        permuted = CorrelationMatrix(dim=corr.dim, entries=matrix, factor=np.linalg.cholesky(matrix))
+        a, b = _engine(corr, limits), _engine(permuted, limits[order])
+        assert abs(a.value - b.value) <= a.est_error + b.est_error
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(case=_engine_cases(), data=st.data())
+    def test_nondecreasing_in_each_limit(self, case, data):
+        corr, limits = case
+        raised = limits.copy()
+        raised[data.draw(st.integers(0, corr.dim - 1))] += data.draw(st.floats(0.01, 2.0))
+        low, high = _engine(corr, limits), _engine(corr, raised)
+        assert high.value >= low.value - (low.est_error + high.est_error)
 
 
 class TestExactReference:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import exchangeable_best_gain_cdf
+from oracles import exchangeable_best_gain_cdf, rayleigh_best_gain_sov
 from scipy.optimize import brentq
 
 from fluidrelay import (
@@ -28,23 +28,38 @@ from fluidrelay import (
 )
 import fluidrelay.outage as outage
 from fluidrelay.harness import empirical_best_gain_cdf
-from fluidrelay.mvncdf import MvnEstimate, pivot_problems
+import fluidrelay.mvncdf as mvncdf
+from fluidrelay.mvncdf import MvnEstimate
 from fluidrelay.outage import BestGainCdf, CopulaConfig, OutageCdfs, best_gain_cdf_estimate, snr_threshold
 from fluidrelay.seeding import derive_seed
 
 
 @pytest.fixture
 def engine_calls(monkeypatch):
-    """Count the engine calls made through ``outage``."""
+    """Record the ``(problem, pivot)`` of each engine call made through ``outage``."""
     calls = []
     engine = outage.mvn_cdf
 
-    def counting(problem):
-        calls.append(problem)
-        return engine(problem)
+    def counting(problem, pivot=None):
+        calls.append((problem, pivot))
+        return engine(problem, pivot)
 
     monkeypatch.setattr(outage, "mvn_cdf", counting)
     return calls
+
+
+@pytest.fixture
+def pivot_stacks(monkeypatch):
+    """Record the limits stack of each ``_pivoted_cholesky`` call."""
+    stacks = []
+    pivot = mvncdf._pivoted_cholesky
+
+    def counting(matrices, limits):
+        stacks.append(np.array(limits))
+        return pivot(matrices, limits)
+
+    monkeypatch.setattr(mvncdf, "_pivoted_cholesky", counting)
+    return stacks
 
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
@@ -234,6 +249,15 @@ class TestExchangeableReference:
         exact = exchangeable_best_gain_cdf(n, rho, x)
         assert abs(p - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / draws)
 
+    @pytest.mark.parametrize("n, rho, x", [(4, 0.5, 0.5), (16, 0.5, 0.3)])
+    def test_sov_estimator_within_four_standard_errors(self, n, rho, x):
+        # The exact-model estimator against the exchangeable integral, into the tail (F ~ 2.3e-7).
+        matrix = np.full((n, n), rho)
+        np.fill_diagonal(matrix, 1.0)
+        corr = CorrelationMatrix(dim=n, entries=matrix, factor=np.linalg.cholesky(matrix))
+        mean, std_err = rayleigh_best_gain_sov(corr, x, 20_000, np.random.default_rng(2020))
+        assert abs(mean - exchangeable_best_gain_cdf(n, rho, x)) <= 4.0 * std_err
+
 
 class TestBestGainCdfMemo:
     def test_repeat_reaches_engine_once(self, default_grid_corr, engine_calls):
@@ -254,7 +278,7 @@ class TestBestGainCdfMemo:
         BestGainCdf(default_grid_corr, CopulaConfig(target_abs_error=4e-3, seed=5)).estimate(1.3)
         BestGainCdf(pair_corr(0.3), config).estimate(1.3)
         assert len(engine_calls) == 5
-        assert [problem.corr.dim for problem in engine_calls] == [16, 16, 16, 16, 2]
+        assert [problem.corr.dim for problem, _ in engine_calls] == [16, 16, 16, 16, 2]
 
     def test_threads_share_memo_consistently(self, pair_corr, engine_calls):
         cdf = BestGainCdf(pair_corr(0.4), CopulaConfig(target_abs_error=1e-2, seed=8))
@@ -285,25 +309,34 @@ class TestBestGainCdfMemo:
         with pytest.raises(TypeError, match="carries its own config"):
             outage_probabilities(q, UNIT_BUDGET, OutageCdfs(default_grid_corr), CopulaConfig())
 
-    def test_prepared_thresholds_arrive_pivoted(self, default_grid_corr, engine_calls):
+    def test_prepared_thresholds_arrive_pivoted(self, default_grid_corr, engine_calls, pivot_stacks):
         config = CopulaConfig(target_abs_error=5e-3, seed=5)
-        xs = [0.02, 0.7, 1.3, 4.0]
-        cdf = BestGainCdf(default_grid_corr, config, [0.0, *xs, 1.3])  # zero and repeated thresholds are not pending
-        assert list(cdf._pending) == xs
         cdfs = OutageCdfs(default_grid_corr, config, [(0.0, 0.7), (1.3, 0.7), (4.0, 0.02)])
-        assert list(cdfs.af._pending) == [1.3, 4.0]
-        assert list(cdfs.df._pending) == [0.7, 0.02]
+        # One stack of the row's distinct positive thresholds; zero is not pivoted.
+        assert len(pivot_stacks) == 1 and pivot_stacks[0].shape == (4, 16)
         lookups = [(cdfs.af, 1.3), (cdfs.af, 4.0), (cdfs.df, 0.7), (cdfs.df, 0.02)]
         plain = [BestGainCdf(default_grid_corr, cdf.config).estimate(x) for cdf, x in lookups]
+        assert [pivot for _, pivot in engine_calls] == [None] * 4
         del engine_calls[:]
         assert [cdf.estimate(x) for cdf, x in lookups] == plain
-        assert [problem._pivot is not None for problem in engine_calls] == [True, True, True, True]
-        assert cdfs.af._pending == cdfs.df._pending == {}
+        assert all(pivot is not None for _, pivot in engine_calls) and len(engine_calls) == 4
+        assert len(pivot_stacks) == 1 + 4  # the plain objects pivot in their own calls; the row's lookups do not
 
-    def test_one_port_needs_no_pivot(self):
+    def test_shared_threshold_pivoted_once(self, default_grid_corr, engine_calls, pivot_stacks):
+        # An AF threshold equal to a DF one is one row of the stack; both schemes read its pivot.
+        cdfs = OutageCdfs(default_grid_corr, CopulaConfig(target_abs_error=5e-3, seed=5), [(0.7, 0.7), (1.3, 0.7)])
+        assert len(pivot_stacks) == 1 and pivot_stacks[0].shape == (2, 16)
+        cdfs.af.estimate(0.7)
+        cdfs.df.estimate(0.7)
+        (_, af_pivot), (_, df_pivot) = engine_calls
+        assert af_pivot is not None and af_pivot is df_pivot
+        assert len(pivot_stacks) == 1
+
+    def test_one_port_needs_no_pivot(self, engine_calls, pivot_stacks):
         cdfs = OutageCdfs(CorrelationMatrix.identity(1), CopulaConfig(), [(1.0, 2.0)])
-        assert cdfs.af._pending == cdfs.df._pending == {}
         assert cdfs.af.estimate(math.log(2.0)).value == pytest.approx(0.5, abs=1e-9)
+        assert [pivot for _, pivot in engine_calls] == [None]
+        assert pivot_stacks == []
 
     def test_outage_cdfs_derive_scheme_seeds(self, default_grid_corr):
         config = CopulaConfig(target_abs_error=5e-3, seed=11)

@@ -360,12 +360,14 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
     residual = total_bw - (need.sum(axis=1) - leader_need)
     bandwidth = need
     bandwidth[rows, leader] = residual
-    # Keep each summed total within the budget as an exact inequality.
-    over = bandwidth.sum(axis=1) > total_bw
+    # Keep each feasible row's summed total within the budget as an exact
+    # inequality.  An infeasible row is zeroed below; a leader whose need
+    # dwarfs the others' can leave its row over by ~1e13 ulps of the residual.
+    over = (residual >= leader_need) & (bandwidth.sum(axis=1) > total_bw)
     while over.any():
         residual[over] = np.nextafter(residual[over], -np.inf)
         bandwidth[rows, leader] = residual
-        over = bandwidth.sum(axis=1) > total_bw
+        over &= bandwidth.sum(axis=1) > total_bw
 
     errors = [None] * len(snrs)
     for t in np.flatnonzero(dead.any(axis=1) | ~(residual >= leader_need)):

@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except NumericalError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, MemoryError) as err:  # MemoryError: say, 1e15 trials
+    except (ValueError, OSError, MemoryError, OverflowError) as err:  # say, 1e15 or 1e30 trials
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

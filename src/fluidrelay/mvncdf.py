@@ -9,9 +9,9 @@ integral is evaluated with a Richtmyer lattice (generating vector
 independent Cranley-Patterson shifts.  Shift-to-shift scatter yields the
 error estimate (3x the standard error over shifts).
 
-Each round integrates its shifts in blocks of up to ``_BLOCK_ROWS`` rows
-(shift x lattice point): the 12 shifts of the 512-point first round go
-in one pass, larger rounds take fewer shifts per block, and a lattice
+Each round integrates its shifts in blocks of up to ``_BLOCK_ROWS`` = 4096
+rows (shift x lattice point): the 512-point first round takes 8 shifts a
+block, larger rounds take fewer shifts per block, and a lattice
 larger than ``_BLOCK_ROWS`` is cut into slices of at most that many
 points, each with its own ``frac(k*g)`` (a lattice of one slice builds
 its ``frac(k*g)`` once, for all its shift blocks).  A block is held
@@ -19,7 +19,7 @@ coordinate-major, shape ``(n-1, shifts*count)``, so each conditional mean
 is one contiguous matrix-vector product, and the quantiles overwrite the
 points in place.  So a call holds O((n-1) * _BLOCK_ROWS) floats, plus
 one shift block's integrand values (8 bytes per lattice point of a round
-above ``_BLOCK_ROWS`` points), whatever its sample budget: about 2.8 MB at
+above ``_BLOCK_ROWS`` points), whatever its sample budget: about 1.8 MB at
 the default budget on a 4x4 grid.
 
 Before integration the coordinates are reordered by the greedy pivoted
@@ -53,9 +53,10 @@ from .seeding import substream
 _NUM_SHIFTS = 12
 _BASE_LATTICE = 512
 # Rows (shift x lattice point) integrated in one pass.  Round 0 (12 x 512)
-# fits whole; a round whose lattice exceeds this takes one shift per block,
-# in lattice slices of this many points.
-_BLOCK_ROWS = 8192
+# takes 8 shifts a block; a round whose lattice exceeds this takes one shift
+# per block, in lattice slices of this many points.  The two (n-1)-row block
+# arrays set a call's peak memory; smaller blocks cost CPU (+7% at 2048).
+_BLOCK_ROWS = 4096
 # ndtri is clipped away from {0, 1}; contributions there are already
 # negligible because the running product is ~0 or the limit is huge.
 _U_LO = 1e-300
@@ -256,7 +257,7 @@ def _sov_block(
     for i in range(1, dims + 1):
         u = points[i - 1]
         np.multiply(e, u, out=u)
-        u.clip(_U_LO, _U_HI, out=u)  # np.clip's ufunc, without its module-level wrappers
+        u.clip(_U_LO, _U_HI, out=u)  # still runs through numpy._core._methods._clip
         ndtri(u, out=u)
         np.dot(factor[i, :i], points[:i], out=conditional)
         np.subtract(limits[i], conditional, out=conditional)

@@ -176,7 +176,8 @@ def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
     direct = q.p_user * lb.gamma_bar_ub
     relay_term = q.p_relay * lb.gamma_bar_rb + 1.0
     shortfall = c_th - direct
-    value = lb.sigma2_relay * relay_term * shortfall / (lb.alpha_ur * q.p_user * margin)
+    denominator = lb.alpha_ur * q.p_user * margin  # 0 when it underflows: take the limit below
+    value = lb.sigma2_relay * relay_term * shortfall / denominator if denominator else math.inf
     if math.isfinite(value):
         return value
     scale = lb.sigma2_relay / lb.alpha_ur
@@ -195,7 +196,10 @@ def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
     """Best-port-gain threshold whose crossing means DF outage (always > 0)."""
     if q.p_user <= 0:
         raise ValueError("xi_df requires p_user > 0")
-    return lb.sigma2_relay * q.c_th / (lb.alpha_ur * q.p_user)
+    denominator = lb.alpha_ur * q.p_user
+    if not denominator:  # underflow
+        return lb.sigma2_relay / lb.alpha_ur * (q.c_th / q.p_user)
+    return lb.sigma2_relay * q.c_th / denominator
 
 
 def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:

@@ -33,7 +33,10 @@ from .outage import LinkBudget, snr_threshold
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:  # above about 3112 dBm; LinkBudget rejects it
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,14 @@ class TestAllocateBandwidth:
             allocate_bandwidth([1.0, 1.0], [1e6, 1e6], 1e6)
         assert err.value.reason == "INFEASIBLE_BANDWIDTH"
 
+    def test_leader_need_dwarfing_the_others_is_infeasible(self):
+        # The leader's 1.3e29 Hz need absorbs the other user's 6.8e4 Hz in the
+        # summed needs, so its residual read the whole 5e6 Hz and the
+        # over-budget nudge loop ran for ~1e13 ulps.
+        with pytest.raises(InfeasibleError) as err:
+            allocate_bandwidth([30053.339015540496, 28017.88352606808], [1e30, 5e5], 5e6)
+        assert err.value.reason == "INFEASIBLE_BANDWIDTH"
+
     def test_zero_snr_with_rate_floor(self):
         with pytest.raises(InfeasibleError):
             allocate_bandwidth([0.0, 1.0], [1e5, 1e5], 1e6)

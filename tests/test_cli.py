@@ -6,10 +6,14 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fluidrelay.cli as cli
 from fluidrelay import scheme_region
@@ -563,3 +567,112 @@ class TestFormatting:
         sum_rate = summary[9]
         mantissa = sum_rate.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 9
+
+
+def _run_doc(doc, command, *flags):
+    """``run_cli`` on ``doc`` written to a fresh temporary file (one per hypothesis example)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return run_cli(command, write_doc(Path(tmp), doc), *flags)
+
+
+def _assert_exit_in(result, codes):
+    assert result.returncode in codes, result.stderr
+    if result.returncode:
+        assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+class TestOpSurfaceGrids:
+    """op-surface on grids of 1-16 ports a side and 0-10 wavelength apertures, including 256 ports."""
+
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(n1=st.integers(1, 16), n2=st.integers(1, 16), w1=st.floats(0.0, 10.0), w2=st.floats(0.0, 10.0))
+    @example(n1=16, n2=16, w1=0.0, w2=0.0)
+    @example(n1=16, n2=16, w1=10.0, w2=10.0)
+    def test_probabilities_finite_or_numerical_error(self, n1, n2, w1, w2):
+        doc = base_doc(grid={"n1": n1, "n2": n2, "w1": w1, "w2": w2})
+        result = _run_doc(doc, "op-surface", "--steps", "3", "--max-samples", "12288")
+        _assert_exit_in(result, (0, 3))
+        if result.returncode == 0:
+            rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+            assert len(rows) == 9
+            probabilities = np.array([[float(row[3]), float(row[4])] for row in rows])
+            assert np.all(np.isfinite(probabilities))
+            assert np.all((probabilities >= 0.0) & (probabilities <= 1.0))
+
+
+_MISSING = object()
+# Leaves and sections of a scenario with a sweep section; each mutation
+# deletes one or replaces it.  Huge counts stay beyond int64, so no draw
+# can ask for a large but allocatable array.
+_FUZZ_PATHS = (
+    ("grid",), ("grid", "n1"), ("grid", "n2"), ("grid", "w1"), ("grid", "w2"),
+    ("system",), ("system", "total_bw_hz"), ("system", "xi_bits"), ("system", "seed"), ("system", "trials"),
+    ("users",), ("users", 0), *(("users", 1, key) for key in base_doc()["users"][1]),
+    ("users", 0, "p_user_min_w"), ("users", 0, "p_relay_min_w"),
+    ("sweep",), ("sweep", "variable"), ("sweep", "values"), ("sweep", "values", 1), ("sweep", "schemes"),
+)
+_FUZZ_VALUES = (
+    _MISSING, "x", None, True, [], {}, math.nan, math.inf, -math.inf,
+    0, -1, -1e300, 1e-300, 5e-324, 1e300, 10**30,
+)
+_FUZZ_FLAGS = {
+    "op-surface": ("--steps", "2", "--max-samples", "1200"),
+    "validate": ("--trials", "10000", "--points", "2", "--max-samples", "1200"),
+    "optimize": (),
+    "sweep": (),
+}
+
+
+def _settable(container, key) -> bool:
+    """Whether ``container[key]`` can be set: any key of an object, or an existing array index."""
+    return isinstance(container, dict) or isinstance(container, list) and isinstance(key, int) and key < len(container)
+
+
+def _container(doc, keys):
+    """The object at ``keys`` in ``doc``, or None when an earlier mutation removed or replaced it."""
+    for key in keys:
+        if not _settable(doc, key) or isinstance(doc, dict) and key not in doc:
+            return None
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _scenario_docs(draw):
+    """A valid scenario with a sweep section, then up to three mutations of it."""
+    variable, values = draw(
+        st.sampled_from([("num_ports", [1, 2]), ("num_users", [1, 2]), ("relay_power_max", [0.05, 0.1])])
+    )
+    doc = base_doc(sweep={"variable": variable, "values": values, "schemes": ["proposed", "tas"]})
+    for *keys, key in draw(st.lists(st.sampled_from(_FUZZ_PATHS), max_size=3)):
+        value = draw(st.sampled_from(_FUZZ_VALUES))
+        container = _container(doc, keys)
+        if not _settable(container, key):
+            continue
+        if value is _MISSING:
+            if isinstance(container, list) or key in container:
+                del container[key]
+        else:
+            container[key] = value
+    return doc
+
+
+class TestScenarioFuzz:
+    """Valid and mutated scenario documents through every command: an exit code, never a traceback."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(doc=_scenario_docs())
+    def test_every_command_exits_with_a_code(self, doc):
+        # The contract is the exit code; RuntimeWarnings print, as in a
+        # command-line run, instead of raising as the suite's filter makes them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
+            for command, flags in _FUZZ_FLAGS.items():
+                _assert_exit_in(_run_doc(doc, command, *flags), (0, 2, 3, 4, 5))
+
+    def test_sweep_trial_count_beyond_int64_exit_2(self):
+        doc = base_doc(sweep={"variable": "relay_power_max", "values": [0.05, 0.1]})
+        doc["system"]["trials"] = 10**30
+        result = _run_doc(doc, "sweep")
+        assert result.returncode == 2 and result.stderr.startswith("error: "), result.stderr

@@ -236,7 +236,7 @@ class TestBlockedKernel:
 
 
 def _unconverged_problem(corr, **budget):
-    return MvnProblem(corr=corr, upper_limits=np.full(16, 1.1), target_abs_error=1e-6, seed=4, **budget)
+    return MvnProblem(corr=corr, upper_limits=np.full(corr.dim, 1.1), target_abs_error=1e-6, seed=4, **budget)
 
 
 class TestLatticeSlices:
@@ -258,16 +258,43 @@ class TestLatticeSlices:
         assert (got.value.hex(), got.est_error.hex()) == (value, est_error)
         assert not got.converged
 
+    @pytest.mark.parametrize("block_rows", [8192, 6144, 3000])  # 4096, the default, is the test above
+    @pytest.mark.parametrize(
+        "budget, value, est_error",
+        [
+            ({"max_samples": 500_000}, "0x1.54a23e2de9db1p-3", "0x1.4c1bb03ddcb77p-13"),
+            ({}, "0x1.54a2ce956a20fp-3", "0x1.30bc0c4a2cea6p-14"),
+        ],
+    )
+    def test_bits_do_not_depend_on_the_block_size(
+        self, default_grid_corr, monkeypatch, block_rows, budget, value, est_error
+    ):
+        # The block only groups rows: each shift's row sum is the same at any size.
+        monkeypatch.setattr(mvncdf, "_BLOCK_ROWS", block_rows)
+        got = mvn_cdf(_unconverged_problem(default_grid_corr, **budget))
+        assert (got.value.hex(), got.est_error.hex()) == (value, est_error)
+
     def test_memory_is_bounded_by_the_block(self, default_grid_corr):
         # Whole-round frac and points arrays peaked at 17.3e6 bytes here;
-        # 8192-point slices at 2.8e6.
-        tracemalloc.start()
-        try:
-            mvn_cdf(_unconverged_problem(default_grid_corr))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        # 8192-row blocks at 2.8e6, 4096-row blocks at 1.8e6.
+        assert _engine_peak_bytes(_unconverged_problem(default_grid_corr)) < 2.5e6
+
+    def test_memory_on_64_ports_is_bounded_by_the_block(self):
+        # Rounds of 512..2048 points then 1536: 5.9e6 bytes at 8192 rows, 3.5e6 at 4096.
+        corr = build_correlation(PortGrid(8, 8, 1.0, 1.0))
+        assert _engine_peak_bytes(_unconverged_problem(corr, max_samples=61_440)) < 4.5e6
+
+
+def _engine_peak_bytes(problem: MvnProblem) -> int:
+    """Peak traced allocation of one ``mvn_cdf`` call that spends its whole budget."""
+    tracemalloc.start()
+    try:
+        got = mvn_cdf(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not got.converged
+    return peak
 
 
 class TestLatticeBuilds:
@@ -281,11 +308,13 @@ class TestLatticeBuilds:
 
         monkeypatch.setattr(mvncdf, "_lattice_frac", counting)
         got = mvn_cdf(_unconverged_problem(default_grid_corr, max_samples=500_000))
-        # Rounds of 512..8192 points fit one slice: one build each.  The
-        # 16384-point round takes one shift per block and two slices a
-        # block; the truncated 9410-point round likewise.
-        one_slice = [(0, 512 << r) for r in range(5)]
-        assert builds == one_slice + [(0, 8192), (8192, 16384)] * 12 + [(0, 8192), (8192, 9410)] * 12
+        # Rounds of 512..4096 points fit one slice: one build each.  The
+        # 8192-, 16384- and truncated 9410-point rounds take one shift per
+        # block, in two, four and three slices of at most 4096 points.
+        one_slice = [(0, 512 << r) for r in range(4)]
+        slices = [(lo, lo + 4096) for lo in range(0, 16384, 4096)]
+        rounds = [slices[:2], slices, [(0, 4096), (4096, 8192), (8192, 9410)]]
+        assert builds == one_slice + [build for round_slices in rounds for build in round_slices * 12]
         assert got.samples_used == 387_072 + 12 * 9410
 
 

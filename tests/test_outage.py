@@ -162,6 +162,13 @@ class TestThresholds:
         expected = scheme_region(p_user, p_relay, q.c_th, DEFAULT_USER0.gamma_bar_ub, DEFAULT_USER0.gamma_bar_rb)
         assert select_scheme(q, DEFAULT_USER0) is expected is Selection.AF
 
+    @pytest.mark.parametrize("alpha_ub, af_limit", [(1e-20, math.inf), (1e-11, -math.inf)])
+    def test_thresholds_take_their_limit_when_alpha_ur_times_p_user_underflows(self, alpha_ub, af_limit):
+        budget = LinkBudget(alpha_ur=5e-324, alpha_ub=alpha_ub, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15)
+        q = OutageQuery(1e-3, 0.1, 0.1)
+        assert xi_df(q, budget) == math.inf
+        assert xi_af(q, budget) == af_limit  # -inf: the direct link alone clears the threshold
+
     def test_xi_df_all_ones(self):
         assert xi_df(OutageQuery(1.0, 1.0, XI_HALF), UNIT_BUDGET) == pytest.approx(1.0)
 

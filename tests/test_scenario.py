@@ -38,6 +38,13 @@ class TestParsing:
         assert dbm_to_watts(-120.0) == pytest.approx(1e-15)
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("key", ["sigma2_relay_dbm", "sigma2_bs_dbm"])
+    def test_overflowing_dbm_rejected(self, key):
+        doc = scenario_doc()
+        doc["users"][0][key] = 1e308
+        with pytest.raises(ValueError, match=key.removesuffix("_dbm") + " must be finite"):
+            parse_scenario(doc)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown key: antenna"):
             parse_scenario(scenario_doc(antenna={}))

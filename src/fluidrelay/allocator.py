@@ -262,7 +262,9 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
         relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
         relay[4] = r_top
         np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
-    user = np.minimum(u_hi, user_cap(relay))
+    # Every candidate is <= r_top, so the cap is >= u_lo; the max only undoes
+    # rounding in user_cap(relay_at_cap(u_lo)), which can land an ulp below u_lo.
+    user = np.minimum(u_hi, np.maximum(u_lo, user_cap(relay)))
     value = np.minimum(user * gub + relay * grb, user * gur)
     # Near C_th ~ 1e154, 4*bound overflows and the crossing is inf/inf; a NaN never wins.
     best = np.argmax(np.where(np.isnan(value), -np.inf, value), axis=0), np.arange(gur.size)

@@ -438,7 +438,7 @@ def scalar_solve_df_subproblem(cfg, s, c_th):
         return (bound / (gub * p_user) - (c_th + 1.0)) / grb
 
     def objective(p_relay):
-        p_user = min(u_hi, user_cap(p_relay))
+        p_user = min(u_hi, max(u_lo, user_cap(p_relay)))
         return min(p_user * gub + p_relay * grb, p_user * gur)
 
     candidates = [r_lo]
@@ -449,7 +449,7 @@ def scalar_solve_df_subproblem(cfg, s, c_th):
         points = (u_hi * (gur - gub) / grb, relay_at_cap(u_hi), crossing, r_top)
         candidates += [min(max(r, r_lo), r_top) for r in points]
     best_relay = max(candidates, key=objective)
-    best_user = min(u_hi, user_cap(best_relay))
+    best_user = min(u_hi, max(u_lo, user_cap(best_relay)))
     return float(best_user), float(best_relay), float(objective(best_relay))
 
 

@@ -426,6 +426,19 @@ class TestSolveSystem:
         assert isinstance(err, InfeasibleError) and err.reason == "INFEASIBLE_BANDWIDTH"
         assert result.sum_rate[0] == 0.0 and not result.bandwidth.any()
 
+    def test_df_user_power_at_its_floor_stays_in_the_box(self):
+        # The best relay power is r_top = relay_at_cap(p_user_min), and
+        # user_cap(r_top) rounds one ulp below p_user_min.
+        floor = 0.26531714729012135
+        users = [
+            UserConfig(unit_budget(1.7287949293378078, 38.14990669030426), 1.0, 1.0, floor, floor, 0.0),
+            UserConfig(unit_budget(3.6801750787330008, 3.6801750787330008), 1.0, 1.0, 0.5, 0.5, 0.0),
+        ]
+        result = solve_system(users, 1e6, 1.11328125, [[155.19169627, 0.0]])
+        assert result.errors == (None,) and result.scheme[0, 0] is Selection.DF
+        assert result.p_user[0, 0] == floor
+        assert scalar_solve_system(users, 1e6, 1.11328125, np.array([155.19169627, 0.0])).p_user[0] == floor
+
     def test_deterministic(self):
         users = [self._user() for _ in range(3)]
         gammas = [[1e5, 2e5, 3e5]]

@@ -4,7 +4,7 @@ Submodules:
 
 * ``channel``   -- port geometry, spatial correlation, correlated sampling
 * ``mvncdf``    -- multivariate normal CDF engine (quasi-Monte Carlo)
-* ``outage``    -- copula best-gain CDF, AF/DF outage, scheme selection
+* ``outage``    -- copula best-gain CDF, AF/DF outage, the scheme-selection rule
 * ``allocator`` -- SNR model, bandwidth closed form, power control
 * ``harness``   -- Monte Carlo validation, benchmarks, parameter sweeps
 * ``scenario``  -- JSON scenario files
@@ -18,7 +18,6 @@ from .allocator import (
     allocate_bandwidth,
     derive_min_powers,
     optimize_powers,
-    scheme_region,
     snr_af,
     snr_df,
     solve_df_subproblem,
@@ -42,6 +41,7 @@ from .outage import (
     best_gain_cdf,
     op_surface,
     outage_probabilities,
+    scheme_region,
     select_scheme,
     xi_af,
     xi_df,

@@ -7,10 +7,10 @@ boxes) decomposes:
 1. per user, transmit powers maximize that user's scheme-aware SNR over
    its power box -- valid because the residual-bandwidth objective is
    nondecreasing in every user's SNR;
-2. the relaying scheme at any power point follows the outage-minimizing
-   rule, the closed-form boundary ``outage.af_df_boundary`` that
-   :func:`scheme_region` applies (the AF region is the upper-right part of
-   the box, the DF region the lower-left, separated by one monotone curve);
+2. the relaying scheme at any power point follows the OP-minimized rule
+   that ``outage`` owns (``outage.scheme_region``; the AF region is the
+   upper-right part of the box, the DF region the lower-left, separated
+   by one monotone curve);
 3. bandwidth then has a closed form: every user gets exactly the slice
    its minimum rate needs, and the user with the highest SNR absorbs the
    residual.
@@ -37,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError
-from .outage import LinkBudget, Selection, af_df_boundary, mean_snr_sum, snr_threshold
-
-# Indexed by a DF flag; an object array keeps the members (numpy would turn
-# the ``str`` enum into plain strings).
-_SELECTIONS = np.array([Selection.AF, Selection.DF], dtype=object)
+from .outage import LinkBudget, Selection, _df_region_touches, _selections, mean_snr_sum, scheme_region, snr_threshold
 
 
 @dataclass(frozen=True)
@@ -155,29 +151,6 @@ def half_duplex_rate(bandwidth, snr):
     return 0.5 * bandwidth * _rate_scale(snr)
 
 
-def _selections(df):
-    """``Selection.DF`` where ``df`` holds, else AF; a member for a scalar flag."""
-    return _SELECTIONS[np.asarray(df, dtype=np.intp)]
-
-
-def scheme_region(p_user, p_relay, c_th: float, gamma_bar_ub: float, gamma_bar_rb: float):
-    """Which scheme the outage rule picks at a feasible power point.
-
-    The rule of ``outage.select_scheme`` (:func:`~fluidrelay.outage.af_df_boundary`,
-    ties to AF), except that a mean SNR sum equal to C_th counts as feasible.
-    Elementwise over arrays of powers, which give an array of :class:`Selection`.
-    """
-    if np.any(p_user <= 0):
-        raise ValueError("scheme_region requires p_user > 0")
-    total = mean_snr_sum(p_user, p_relay, gamma_bar_ub, gamma_bar_rb)
-    if np.any(total < c_th):
-        raise ValueError(
-            f"scheme_region requires a feasible point: mean SNR sum {np.min(total):.6g} < C_th {c_th:.6g}"
-        )
-    direct = p_user * gamma_bar_ub
-    return _selections(direct < af_df_boundary(p_relay * gamma_bar_rb, c_th))
-
-
 def derive_min_powers(
     budget: LinkBudget,
     p_user_max: float,
@@ -202,11 +175,6 @@ def derive_min_powers(
     while mean_snr_sum(t * p_user_max, t * p_relay_max, gub, grb) < c_th:
         t = math.nextafter(t, math.inf)
     return t * p_user_max, t * p_relay_max
-
-
-def _df_region_touches(p_user: float, p_relay: float, c_th: float, s: SnrTriple) -> bool:
-    """True when the point is on or below the AF/DF boundary (weakly DF)."""
-    return p_user * s.gamma_ub <= af_df_boundary(p_relay * s.gamma_rb, c_th)
 
 
 def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
@@ -241,7 +209,7 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
         )
     u_lo, u_hi = cfg.p_user_min, cfg.p_user_max
     r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
-    if not _df_region_touches(u_lo, r_lo, c_th, s):
+    if not _df_region_touches(u_lo, r_lo, c_th, gub, grb):
         raise ValueError("DF subproblem requires the DF region to touch the box (C~ >= 1)")
 
     def user_cap(p_relay):
@@ -255,11 +223,14 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     if grb > 0:
         # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard).
         r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
-        relay[1] = u_hi * (gur - gub) / grb
         relay[2] = relay_at_cap(u_hi)
-        # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
-        disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
-        relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
+        # A tiny gub or grb can take a quotient past the double range: +-inf
+        # clips to where the exact value would, and a 0/0 NaN never wins.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            relay[1] = u_hi * (gur - gub) / grb
+            # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
+            disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
+            relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
         relay[4] = r_top
         np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
     # Every candidate is <= r_top, so the cap is >= u_lo; the max only undoes
@@ -304,7 +275,7 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
     p_relay = np.full(shape, float(cfg.p_relay_max))
     if scheme_region(cfg.p_user_max, cfg.p_relay_max, c_th, s.gamma_ub, s.gamma_rb) is Selection.DF:
         df = np.full(shape, True)
-    elif not _df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s):
+    elif not _df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s.gamma_ub, s.gamma_rb):
         df = np.full(shape, False)
     else:
         df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
@@ -317,13 +288,13 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
     return p_user, p_relay, _selections(df)
 
 
-def check_finite_snrs(snrs: np.ndarray) -> None:
-    """Raise NumericalError, naming the user, unless every ``(T, K)`` SNR is finite."""
+def check_finite_snrs(snrs: np.ndarray, link: str = "end-to-end") -> None:
+    """Raise NumericalError, naming the user and trial, unless every ``(T, K)`` ``link`` SNR is finite."""
     bad = ~np.isfinite(snrs)
     if bad.any():
         trial, user = np.argwhere(bad)[0]
         raise NumericalError(
-            f"user {user} has a non-finite end-to-end SNR {snrs[trial, user]} in trial {trial}; "
+            f"user {user} has a non-finite {link} SNR {snrs[trial, user]} in trial {trial}; "
             "its power caps or link gains are too large"
         )
 
@@ -349,12 +320,15 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
     dead = (snrs == 0) & floored  # zero SNR cannot meet a positive minimum rate
     scale = _rate_scale(snrs)
     live = floored & ~dead
-    need = np.divide(2.0 * rate_mins, scale, out=np.zeros_like(snrs), where=live)
-    # Nudge each slice up until its realized rate meets the minimum exactly.
-    short = live & (0.5 * need * scale < rate_mins)
-    while short.any():
-        need[short] = np.nextafter(need[short], np.inf)
-        short &= 0.5 * need * scale < rate_mins
+    with np.errstate(over="ignore"):  # a slice past the largest double is inf, and so is its row's sum
+        need = np.divide(2.0 * rate_mins, scale, out=np.zeros_like(snrs), where=live)
+        # Nudge each slice up until its realized rate meets the minimum exactly.
+        short = live & (0.5 * need * scale < rate_mins)
+        while short.any():
+            need[short] = np.nextafter(need[short], np.inf)
+            short &= 0.5 * need * scale < rate_mins
+        unbounded = np.isinf(need.sum(axis=1))
+    need[unbounded] = 0.0  # no budget holds these rows, which are infeasible below
 
     rows = np.arange(len(snrs))
     leader = np.argmax(snrs, axis=1)
@@ -372,9 +346,11 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
         over &= bandwidth.sum(axis=1) > total_bw
 
     errors = [None] * len(snrs)
-    for t in np.flatnonzero(dead.any(axis=1) | ~(residual >= leader_need)):
+    for t in np.flatnonzero(dead.any(axis=1) | unbounded | ~(residual >= leader_need)):
         if dead[t].any():
             detail = f"user {np.argmax(dead[t])} has zero SNR but a positive minimum rate"
+        elif unbounded[t]:
+            detail = f"the minimum rates need more than {np.finfo(float).max:.6g} Hz of bandwidth"
         else:
             detail = (
                 f"residual bandwidth {residual[t]:.6g} Hz cannot cover the leader's minimum "

@@ -16,6 +16,7 @@ downstream is ``best_gain_sq = max_l |h_l|^2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class PortGrid:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"port counts must be >= 1, got {self.n1} x {self.n2}")
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError(f"aperture lengths must be >= 0, got {self.w1} x {self.w2}")
+        # The kernel's argument 2*pi*d stays finite, with a factor of two to spare for rounding.
+        if not (self.w1 >= 0 and self.w2 >= 0 and math.isfinite(4.0 * math.pi * math.hypot(self.w1, self.w2))):
+            raise ValueError(f"aperture lengths must be >= 0 with 4*pi*hypot(w1, w2) finite, got {self.w1} x {self.w2}")
 
     @property
     def num_ports(self) -> int:

@@ -35,7 +35,6 @@ from .allocator import (
     derive_min_powers,
     half_duplex_rate,
     optimize_powers,
-    scheme_region,
     scheme_snr,
     snr_af,
     snr_df,
@@ -44,7 +43,7 @@ from .allocator import (
 )
 from .channel import CorrelationMatrix, PortGrid, best_gain_sq, build_correlation, sample_gains
 from .errors import InfeasibleError
-from .outage import LinkBudget, OutageQuery, OutageResult, Selection, select_scheme, snr_threshold
+from .outage import LinkBudget, OutageQuery, OutageResult, Selection, scheme_region, select_scheme, snr_threshold
 from .seeding import substream
 
 PROPOSED = "proposed"
@@ -356,7 +355,10 @@ class TrialDraws:
 def draw_gamma_ur(users, grid: PortGrid, draws: TrialDraws) -> np.ndarray:
     """``(T, K)`` instantaneous user->relay normalized SNRs on ``grid``, one column per user."""
     gains = draws.best_gains(grid)[:, : len(users)]
-    return [user.budget.alpha_ur for user in users] * gains / [user.budget.sigma2_relay for user in users]
+    with np.errstate(over="ignore"):  # an SNR past the largest double is inf, reported below
+        gamma_ur = [user.budget.alpha_ur for user in users] * gains / [user.budget.sigma2_relay for user in users]
+    check_finite_snrs(gamma_ur, "user->relay")
+    return gamma_ur
 
 
 def _solve_average_bandwidth(users, total_bw, c_th, gammas):

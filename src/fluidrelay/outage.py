@@ -17,10 +17,16 @@ approximated by a Gaussian copula over the port correlation matrix: each
 marginal ``1 - exp(-x)`` is pushed through the standard-normal quantile
 and evaluated under the joint normal CDF.
 
-Because both outage probabilities are the *same* nondecreasing CDF at
-different arguments, comparing them is equivalent to comparing the
-arguments, which :func:`af_df_boundary` does in closed form, so selection
-stays exact instead of inheriting the CDF engine's sampling noise.
+This module owns the OP-minimized AF/DF rule.  Both outage probabilities
+are the *same* nondecreasing CDF at different arguments, so comparing
+them is comparing the arguments, which :func:`af_df_boundary` does in
+closed form and without the CDF engine's sampling noise: AF minimizes
+outage iff the direct mean SNR ``p_u*gub`` reaches the boundary at the
+relay mean SNR ``p_r*grb`` (ties go to AF).  Its two entry points differ
+only in feasibility: :func:`select_scheme` (the outage map) returns
+INFEASIBLE at a mean SNR sum equal to C_th, where outage is certain,
+while :func:`scheme_region` (the allocator) takes that sum as a feasible
+corner of the power box and rejects only a sum below C_th.
 """
 
 from __future__ import annotations
@@ -202,19 +208,49 @@ def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
     return lb.sigma2_relay * q.c_th / denominator
 
 
-def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
-    """OP-minimizing scheme (tie -> AF); INFEASIBLE when the mean SNR sum is <= C_th.
+# Indexed by a DF flag; an object array keeps the members (numpy would turn
+# the ``str`` enum into plain strings).
+_SELECTIONS = np.array([Selection.AF, Selection.DF], dtype=object)
 
-    Decided by :func:`af_df_boundary`, without evaluating ``xi_af`` or ``xi_df``.
-    """
-    if mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= q.c_th:
+
+def _selections(df):
+    """``Selection.DF`` where ``df`` holds, else AF; a member for a scalar flag."""
+    return _SELECTIONS[np.asarray(df, dtype=np.intp)]
+
+
+def _af_minimizes_outage(p_user, p_relay, c_th: float, gamma_bar_ub: float, gamma_bar_rb: float):
+    """The rule at a power point: AF minimizes outage (ties go to AF); floats stay free of numpy."""
+    return p_user * gamma_bar_ub >= af_df_boundary(p_relay * gamma_bar_rb, c_th)
+
+
+def _df_region_touches(p_user: float, p_relay: float, c_th: float, gamma_bar_ub: float, gamma_bar_rb: float) -> bool:
+    """True when the point is in the DF region's closure (on or below the boundary): the allocator's DF test."""
+    return p_user * gamma_bar_ub <= af_df_boundary(p_relay * gamma_bar_rb, c_th)
+
+
+def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
+    """The module's rule for one query, INFEASIBLE when the mean SNR sum is <= C_th; needs no ``xi_af``/``xi_df``."""
+    c_th = q.c_th
+    if mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= c_th:
         return Selection.INFEASIBLE
     if q.p_user == 0:
         # No user signal: outage certain with either scheme (both
         # thresholds diverge); tie convention picks AF.
         return Selection.AF
-    direct = q.p_user * lb.gamma_bar_ub
-    return Selection.AF if direct >= af_df_boundary(q.p_relay * lb.gamma_bar_rb, q.c_th) else Selection.DF
+    af = _af_minimizes_outage(q.p_user, q.p_relay, c_th, lb.gamma_bar_ub, lb.gamma_bar_rb)
+    return Selection.AF if af else Selection.DF
+
+
+def scheme_region(p_user, p_relay, c_th: float, gamma_bar_ub: float, gamma_bar_rb: float):
+    """The module's rule at feasible power points (a sum equal to C_th is one), elementwise over arrays of powers."""
+    if np.any(p_user <= 0):
+        raise ValueError("scheme_region requires p_user > 0")
+    total = mean_snr_sum(p_user, p_relay, gamma_bar_ub, gamma_bar_rb)
+    if np.any(total < c_th):
+        raise ValueError(
+            f"scheme_region requires a feasible point: mean SNR sum {np.min(total):.6g} < C_th {c_th:.6g}"
+        )
+    return _selections(np.logical_not(_af_minimizes_outage(p_user, p_relay, c_th, gamma_bar_ub, gamma_bar_rb)))
 
 
 def _best_gain_limits(x: float, dim: int) -> np.ndarray:
@@ -317,7 +353,7 @@ def best_gain_cdf_estimate(
 
 def _thresholds(q: OutageQuery, lb: LinkBudget) -> tuple[float, float] | None:
     """Best-gain (AF, DF) thresholds of ``q``, or None when outage is certain either way."""
-    if q.p_user == 0 or mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= q.c_th:
+    if q.p_user == 0 or select_scheme(q, lb) is Selection.INFEASIBLE:
         return None
     return max(xi_af(q, lb), 0.0), xi_df(q, lb)
 

@@ -31,6 +31,11 @@ from .channel import PortGrid
 from .harness import SCHEMES, Scenario, SweepSpec
 from .outage import LinkBudget, snr_threshold
 
+# A rate is at most 512 bit/s per Hz (half of log2 of the largest double),
+# so below this bound every rate, per-trial sum rate and squared deviation
+# in a sweep's standard error stays finite, whatever the trial count.
+MAX_TOTAL_BW_HZ = 1e100
+
 
 def dbm_to_watts(dbm: float) -> float:
     try:
@@ -188,6 +193,8 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioSpec:
     system = _expect_mapping(doc["system"], "system")
     _reject_unknown(system, "system.", ("total_bw_hz", "xi_bits", "seed", "trials"))
     total_bw = _get_number(system, "system.", "total_bw_hz", positive=True)
+    if total_bw > MAX_TOTAL_BW_HZ:
+        raise ValueError(f"system.total_bw_hz: must not exceed {MAX_TOTAL_BW_HZ:g}")
     xi = _get_number(system, "system.", "xi_bits", positive=True)
     seed = _get_int(system, "system.", "seed", minimum=0)
     trials = _get_int(system, "system.", "trials", minimum=1)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import importlib
 import io
@@ -7,7 +8,6 @@ import math
 import subprocess
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +452,26 @@ class TestOptimize:
 
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_huge_bandwidth_exit_2_names_it(self, tmp_path, command):
+        # At 1e308 Hz the rates overflowed: inf sum rates with exit 0, after a numpy warning.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"]["total_bw_hz"] = 1e308
+        result = run_cli(command, write_doc(tmp_path, doc))
+        assert result.returncode == 2
+        assert result.stderr == "error: system.total_bw_hz: must not exceed 1e+100\n"
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_bandwidth_at_its_bound_gives_finite_rates(self, tmp_path, command):
+        doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2]})
+        doc["system"]["total_bw_hz"] = 1e100
+        result = run_cli(command, write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        # The sum rate is the second-to-last field of optimize's summary row and of every sweep row.
+        rows = result.stdout.strip().split("\n")[1:]
+        rates = [float(row.split(",")[-2]) for row in (rows[-1:] if command == "optimize" else rows)]
+        assert all(math.isfinite(rate) for rate in rates) and max(rates) > 1e100
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_huge_rate_threshold_exit_3(self, tmp_path, command):
         # xi = 300 bits: C_th**2 overflows in the DF power solver (was a traceback).
         doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
@@ -654,7 +674,7 @@ def _scenario_docs(draw):
             if isinstance(container, list) or key in container:
                 del container[key]
         else:
-            container[key] = value
+            container[key] = copy.deepcopy(value)  # the shared [] and {} must not collect mutations
     return doc
 
 
@@ -664,12 +684,28 @@ class TestScenarioFuzz:
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(doc=_scenario_docs())
     def test_every_command_exits_with_a_code(self, doc):
-        # The contract is the exit code; RuntimeWarnings print, as in a
-        # command-line run, instead of raising as the suite's filter makes them.
-        with warnings.catch_warnings():
-            warnings.simplefilter("default", RuntimeWarning)
-            for command, flags in _FUZZ_FLAGS.items():
-                _assert_exit_in(_run_doc(doc, command, *flags), (0, 2, 3, 4, 5))
+        # Under the suite's filter a numpy RuntimeWarning raises, so it fails here too.
+        for command, flags in _FUZZ_FLAGS.items():
+            _assert_exit_in(_run_doc(doc, command, *flags), (0, 2, 3, 4, 5))
+
+    @pytest.mark.parametrize(
+        "keys, value, code",
+        [
+            (("users", 0, "alpha_rb"), 5e-324, 0),
+            (("users", 0, "rate_min_bps"), 1e308, 5),
+            (("users", 0, "p_user_max_w"), 5e-324, 5),
+            (("users", 0, "alpha_ur"), 1e308, 3),
+            (("grid", "w1"), 1e308, 2),
+        ],
+    )
+    def test_extreme_finite_input_exits_without_warning(self, keys, value, code):
+        # Each printed a numpy RuntimeWarning before its exit; the suite's filter makes one fail here.
+        doc = base_doc()
+        *path, key = keys
+        _container(doc, path)[key] = value
+        result = _run_doc(doc, "optimize")
+        assert result.returncode == code, result.stderr
+        assert code == 0 or result.stderr.startswith("error: ")
 
     def test_sweep_trial_count_beyond_int64_exit_2(self):
         doc = base_doc(sweep={"variable": "relay_power_max", "values": [0.05, 0.1]})

@@ -475,6 +475,21 @@ class TestOutageProbabilities:
             assert (xi_af(q, budget) > xi_df(q, budget)) == (ratio > 1.0)
 
 
+class TestSelectionRuleConventions:
+    """The rule's tie and feasibility conventions, pinned in both entry points."""
+
+    def test_exact_tie_is_af_in_both_and_touches_df(self):
+        # C_th = 1, unit mean SNRs: the boundary at relay SNR 2 is 1 * 2/(2 + 2) = 0.5, the direct SNR.
+        assert outage.af_df_boundary(2.0, 1.0) == 0.5
+        assert select_scheme(OutageQuery(0.5, 2.0, XI_HALF), UNIT_BUDGET) is Selection.AF
+        assert scheme_region(0.5, 2.0, 1.0, 1.0, 1.0) is Selection.AF
+        assert outage._df_region_touches(0.5, 2.0, 1.0, 1.0, 1.0)
+
+    def test_sum_at_threshold_infeasible_on_map_feasible_in_box(self):
+        assert select_scheme(OutageQuery(0.5, 0.5, XI_HALF), UNIT_BUDGET) is Selection.INFEASIBLE
+        assert scheme_region(0.5, 0.5, 1.0, 1.0, 1.0) is Selection.DF
+
+
 class TestOpSurface:
     def test_row_count_and_order(self, default_grid_corr):
         config = CopulaConfig(target_abs_error=5e-3, seed=1)

@@ -5,8 +5,8 @@ per-user minimum rates, a total bandwidth budget, and per-link power
 boxes) decomposes:
 
 1. per user, transmit powers maximize that user's scheme-aware SNR over
-   its power box -- valid because the residual-bandwidth objective is
-   nondecreasing in every user's SNR;
+   its power box (:func:`power_box`) -- valid because the residual-bandwidth
+   objective is nondecreasing in every user's SNR;
 2. the relaying scheme at any power point follows the OP-minimized rule
    that ``outage`` owns (``outage.scheme_region``; the AF region is the
    upper-right part of the box, the DF region the lower-left, separated
@@ -161,6 +161,7 @@ def derive_min_powers(
 
     ``t = C_th / S`` (``S`` the sum at maximum powers), raised one ulp at a
     time until the returned pair passes the guard of :func:`optimize_powers`.
+    :func:`power_box` uses it when no minimum power is given.
     """
     gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
     full_sum = mean_snr_sum(p_user_max, p_relay_max, gub, grb)
@@ -175,6 +176,35 @@ def derive_min_powers(
     while mean_snr_sum(t * p_user_max, t * p_relay_max, gub, grb) < c_th:
         t = math.nextafter(t, math.inf)
     return t * p_user_max, t * p_relay_max
+
+
+def _partner_min(given_snr: float, gain: float, cap: float, c_th: float) -> float:
+    """Smallest power up to ``cap`` whose mean SNR ``power * gain`` lifts ``given_snr`` to C_th."""
+    if not given_snr + cap * gain >= c_th:
+        msg = f"a given minimum power and the other cap give mean SNR sum {given_snr + cap * gain:.6g} < {c_th:.6g}"
+        raise InfeasibleError("INFEASIBLE_POWER", msg)
+    power = min((c_th - given_snr) / gain, cap) if given_snr < c_th else 0.0
+    while not given_snr + power * gain >= c_th:
+        power = math.nextafter(power, math.inf)
+    while power > 0 and given_snr + math.nextafter(power, 0.0) * gain >= c_th:
+        power = math.nextafter(power, 0.0)
+    return power
+
+
+def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_user_min=None, p_relay_min=None):
+    """A user's :class:`UserConfig`, with minimum powers as given; neither given: :func:`derive_min_powers`.
+
+    With one given, the other is the smallest power up to its cap whose
+    pair passes the guard of :func:`optimize_powers` (0 when the given power
+    alone does); InfeasibleError when that cap falls short.
+    """
+    if p_user_min is None and p_relay_min is None:
+        p_user_min, p_relay_min = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
+    elif p_user_min is None:
+        p_user_min = _partner_min(p_relay_min * budget.gamma_bar_rb, budget.gamma_bar_ub, p_user_max, c_th)
+    elif p_relay_min is None:
+        p_relay_min = _partner_min(p_user_min * budget.gamma_bar_ub, budget.gamma_bar_rb, p_relay_max, c_th)
+    return UserConfig(budget, p_user_max, p_relay_max, p_user_min, p_relay_min, rate_min)
 
 
 def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):

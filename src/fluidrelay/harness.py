@@ -32,9 +32,9 @@ from .allocator import (
     UserConfig,
     allocate_bandwidth_rows,
     check_finite_snrs,
-    derive_min_powers,
     half_duplex_rate,
     optimize_powers,
+    power_box,
     scheme_snr,
     snr_af,
     snr_df,
@@ -185,7 +185,7 @@ def random_scenario(
     Bandwidth, power caps, noise and dB windows are the ``RANDOM_*`` and
     ``DEFAULT_ALPHA_*_DB`` constants.  Users are ordered so the average
     direct-link gain increases with the user index.  Minimum powers are
-    derived as the smallest feasible scaling of the maxima.
+    derived by ``power_box`` as the smallest feasible scaling of the maxima.
     """
     rng = substream(seed, 0xA1FA)
     c_th = snr_threshold(xi)
@@ -198,17 +198,7 @@ def random_scenario(
             sigma2_relay=RANDOM_SIGMA2,
             sigma2_bs=RANDOM_SIGMA2,
         )
-        pu_min, pr_min = derive_min_powers(budget, RANDOM_P_MAX, RANDOM_P_MAX, c_th)
-        users.append(
-            UserConfig(
-                budget=budget,
-                p_user_max=RANDOM_P_MAX,
-                p_relay_max=RANDOM_P_MAX,
-                p_user_min=pu_min,
-                p_relay_min=pr_min,
-                rate_min=rate_min,
-            )
-        )
+        users.append(power_box(budget, RANDOM_P_MAX, RANDOM_P_MAX, rate_min, c_th))
     return Scenario(
         users=order_users_by_gain(users), grid=grid, total_bw=RANDOM_TOTAL_BW, xi=xi, seed=seed, trials=trials
     )
@@ -386,7 +376,9 @@ def _solve_random_power(users, total_bw, c_th, gammas, uniforms):
         pu = user.p_user_min + (user.p_user_max - user.p_user_min) * uniforms[:, k, 0]
         pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * uniforms[:, k, 1]
         triple = SnrTriple.from_budget(user.budget, gammas[:, k])
-        scheme = scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
+        sends = pu > 0  # a 0 W draw has SNR 0 under either scheme; the rule's tie convention picks AF
+        scheme = np.full(pu.shape, Selection.AF, dtype=object)
+        scheme[sends] = scheme_region(pu[sends], pr[sends], c_th, triple.gamma_ub, triple.gamma_rb)
         snr[:, k] = scheme_snr(scheme, pu, pr, triple)
     bandwidth, errors = allocate_bandwidth_rows(snr, [u.rate_min for u in users], total_bw)
     rate = half_duplex_rate(bandwidth, snr)
@@ -444,13 +436,7 @@ def _sweep_scenario(scenario: Scenario, variable: str, value) -> Scenario:
         side = int(value)
         return replace(scenario, grid=PortGrid(side, side, scenario.grid.w1, scenario.grid.w2))
     if variable == "relay_power_max":
-        cap = float(value)
-        users = []
-        for user in scenario.users:
-            pu_min, pr_min = derive_min_powers(user.budget, user.p_user_max, cap, scenario.c_th)
-            users.append(
-                replace(user, p_relay_max=cap, p_user_min=pu_min, p_relay_min=pr_min)
-            )
+        users = (power_box(u.budget, u.p_user_max, float(value), u.rate_min, scenario.c_th) for u in scenario.users)
         return replace(scenario, users=tuple(users))
     raise ValueError(f"unknown sweep variable {variable!r}")
 

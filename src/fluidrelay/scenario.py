@@ -15,9 +15,9 @@ The schema (see the README for a field reference):
 
 Unknown keys anywhere are rejected with the offending path so typos in
 physical parameters cannot pass silently.  dBm fields convert to watts as
-10**((dBm - 30)/10).  Minimum powers default to the smallest feasible
-scaling of the maxima and are derived lazily (commands that never touch
-power boxes still work on power-infeasible scenarios).
+10**((dBm - 30)/10).  Absent minimum powers are derived lazily, by
+``allocator.power_box`` in :func:`build_scenario` (commands that never
+touch power boxes still work on power-infeasible scenarios).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .allocator import UserConfig, derive_min_powers
+from .allocator import power_box
 from .channel import PortGrid
 from .harness import SCHEMES, Scenario, SweepSpec
 from .outage import LinkBudget, snr_threshold
@@ -222,34 +222,17 @@ def load_scenario(path: str) -> ScenarioSpec:
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
-    """Materialize the runnable scenario, deriving absent minimum powers.
+    """Materialize the runnable scenario; ``allocator.power_box`` builds each user's box.
 
-    Raises InfeasibleError when a user's maximum powers cannot reach the
-    outage threshold at all.
+    Raises InfeasibleError when a minimum power to derive cannot reach the
+    outage threshold within its cap.
     """
     c_th = snr_threshold(spec.xi)
-    users = []
-    for user in spec.users:
-        if user.p_user_min is None or user.p_relay_min is None:
-            pu_min, pr_min = derive_min_powers(user.budget, user.p_user_max, user.p_relay_max, c_th)
-            if user.p_user_min is not None:
-                pu_min = user.p_user_min
-            if user.p_relay_min is not None:
-                pr_min = user.p_relay_min
-        else:
-            pu_min, pr_min = user.p_user_min, user.p_relay_min
-        users.append(
-            UserConfig(
-                budget=user.budget,
-                p_user_max=user.p_user_max,
-                p_relay_max=user.p_relay_max,
-                p_user_min=pu_min,
-                p_relay_min=pr_min,
-                rate_min=user.rate_min,
-            )
-        )
     return Scenario(
-        users=tuple(users),
+        users=tuple(
+            power_box(u.budget, u.p_user_max, u.p_relay_max, u.rate_min, c_th, u.p_user_min, u.p_relay_min)
+            for u in spec.users
+        ),
         grid=spec.grid,
         total_bw=spec.total_bw,
         xi=spec.xi,

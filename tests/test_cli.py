@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fluidrelay.cli as cli
 from fluidrelay import scheme_region
+from fluidrelay.harness import SCHEMES
 from fluidrelay.outage import snr_threshold
 from fluidrelay.scenario import load_scenario
 
@@ -548,6 +549,27 @@ class TestSweep:
         assert named in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("key", ["p_user_min_w", "p_relay_min_w"])
+    def test_one_zero_minimum_power_keeps_default_users_feasible(self, tmp_path, key):
+        # The other minimum is derived against the given one, so the box's corner reaches C_th.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        for user in doc["users"]:
+            user[key] = 0
+        path = write_doc(tmp_path, doc)
+        assert run_cli("optimize", path).returncode == 0
+        sweep = run_cli("sweep", path)
+        assert sweep.returncode == 0 and ",false" not in sweep.stdout
+
+    @pytest.mark.parametrize("p_user_max", [5e-324, 1e-323])
+    def test_random_power_zero_watt_draws_are_infeasible_rows(self, tmp_path, p_user_max):
+        # Under a 5e-324 W cap, user 1's random powers round to 0 W: they send nothing, and fail its minimum rate.
+        doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2], "schemes": ["random_power"]})
+        doc["users"][1]["p_user_max_w"] = p_user_max
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 2 * 4 and all(row[3:] == ["0", "false"] for row in rows)
+
     def test_integral_float_port_count_runs(self, tmp_path):
         doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2.0], "schemes": ["proposed"]})
         result = run_cli("sweep", write_doc(tmp_path, doc))
@@ -664,7 +686,8 @@ def _scenario_docs(draw):
     variable, values = draw(
         st.sampled_from([("num_ports", [1, 2]), ("num_users", [1, 2]), ("relay_power_max", [0.05, 0.1])])
     )
-    doc = base_doc(sweep={"variable": variable, "values": values, "schemes": ["proposed", "tas"]})
+    schemes = draw(st.lists(st.sampled_from(SCHEMES), min_size=1, unique=True))
+    doc = base_doc(sweep={"variable": variable, "values": values, "schemes": schemes})
     for *keys, key in draw(st.lists(st.sampled_from(_FUZZ_PATHS), max_size=3)):
         value = draw(st.sampled_from(_FUZZ_VALUES))
         container = _container(doc, keys)

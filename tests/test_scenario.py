@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
-from fluidrelay import InfeasibleError
+from fluidrelay import InfeasibleError, derive_min_powers
+from fluidrelay.cli import main
 from fluidrelay.scenario import build_scenario, dbm_to_watts, load_scenario, parse_scenario
 
 
@@ -106,6 +108,42 @@ class TestBuildScenario:
         floor = user.p_user_min * user.budget.gamma_bar_ub + user.p_relay_min * user.budget.gamma_bar_rb
         assert floor >= scenario.c_th
         assert 0 < user.p_user_min < user.p_user_max
+        assert (user.p_user_min, user.p_relay_min) == derive_min_powers(user.budget, 0.1, 0.1, scenario.c_th)
+
+    @pytest.mark.parametrize("key", ["p_user_min_w", "p_relay_min_w"])
+    def test_lone_min_power_derives_the_smallest_partner(self, key):
+        doc = scenario_doc()
+        doc["users"][0][key] = 0
+        scenario = build_scenario(parse_scenario(doc))
+        user = scenario.users[0]
+        gub, grb = user.budget.gamma_bar_ub, user.budget.gamma_bar_rb
+        if key == "p_user_min_w":
+            given, partner, shrunk = user.p_user_min, user.p_relay_min, (0.0, math.nextafter(user.p_relay_min, 0))
+        else:
+            given, partner, shrunk = user.p_relay_min, user.p_user_min, (math.nextafter(user.p_user_min, 0), 0.0)
+        assert given == 0.0 and 0 < partner < 0.1
+        # The pair passes optimize_powers's guard exactly, and one ulp less does not.
+        assert user.p_user_min * gub + user.p_relay_min * grb >= scenario.c_th
+        assert shrunk[0] * gub + shrunk[1] * grb < scenario.c_th
+
+    def test_lone_min_power_alone_feasible_gives_zero_partner(self):
+        doc = scenario_doc()
+        doc["users"][0]["p_user_min_w"] = 0.05  # 500 on its own, above C_th ~ 0.149
+        user = build_scenario(parse_scenario(doc)).users[0]
+        assert (user.p_user_min, user.p_relay_min) == (0.05, 0.0)
+
+    def test_lone_min_power_partner_beyond_its_cap_exit_5(self, tmp_path):
+        doc = scenario_doc()
+        doc["users"][0]["p_user_min_w"] = 0
+        doc["users"][0]["p_relay_max_w"] = 1e-8  # mean SNR 0.01 < C_th at the relay's cap
+        with pytest.raises(InfeasibleError) as err:
+            build_scenario(parse_scenario(doc))
+        assert err.value.reason == "INFEASIBLE_POWER"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", str(path)]) == 5
+        del doc["users"][0]["p_user_min_w"]  # both derived: the user's own power reaches C_th
+        assert build_scenario(parse_scenario(doc)).users[0].p_relay_min > 0
 
     def test_explicit_min_powers_respected(self):
         doc = scenario_doc()

@@ -179,16 +179,22 @@ def derive_min_powers(
 
 
 def _partner_min(given_snr: float, gain: float, cap: float, c_th: float) -> float:
-    """Smallest power up to ``cap`` whose mean SNR ``power * gain`` lifts ``given_snr`` to C_th."""
+    """Smallest power up to ``cap`` whose mean SNR ``power * gain`` lifts ``given_snr`` to C_th.
+
+    The rounded sum never falls as the power grows: bisecting bit patterns takes at most 64 steps."""
     if not given_snr + cap * gain >= c_th:
         msg = f"a given minimum power and the other cap give mean SNR sum {given_snr + cap * gain:.6g} < {c_th:.6g}"
         raise InfeasibleError("INFEASIBLE_POWER", msg)
-    power = min((c_th - given_snr) / gain, cap) if given_snr < c_th else 0.0
-    while not given_snr + power * gain >= c_th:
-        power = math.nextafter(power, math.inf)
-    while power > 0 and given_snr + math.nextafter(power, 0.0) * gain >= c_th:
-        power = math.nextafter(power, 0.0)
-    return power
+    if given_snr >= c_th:
+        return 0.0
+    fails, passes = 0, int(np.float64(cap).view(np.int64))  # bit patterns order nonnegative doubles
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        if given_snr + float(np.int64(mid).view(np.float64)) * gain >= c_th:
+            passes = mid
+        else:
+            fails = mid
+    return float(np.int64(passes).view(np.float64))
 
 
 def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_user_min=None, p_relay_min=None):
@@ -196,14 +202,17 @@ def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_use
 
     With one given, the other is the smallest power up to its cap whose
     pair passes the guard of :func:`optimize_powers` (0 when the given power
-    alone does); InfeasibleError when that cap falls short.
+    alone does); InfeasibleError when that cap falls short.  Unless both
+    are given, maximum powers raise as in :func:`derive_min_powers`.
     """
     if p_user_min is None and p_relay_min is None:
         p_user_min, p_relay_min = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
-    elif p_user_min is None:
-        p_user_min = _partner_min(p_relay_min * budget.gamma_bar_rb, budget.gamma_bar_ub, p_user_max, c_th)
-    elif p_relay_min is None:
-        p_relay_min = _partner_min(p_user_min * budget.gamma_bar_ub, budget.gamma_bar_rb, p_relay_max, c_th)
+    elif p_user_min is None or p_relay_min is None:
+        derive_min_powers(budget, p_user_max, p_relay_max, c_th)  # for its checks at maximum powers only
+        if p_user_min is None:
+            p_user_min = _partner_min(p_relay_min * budget.gamma_bar_rb, budget.gamma_bar_ub, p_user_max, c_th)
+        else:
+            p_relay_min = _partner_min(p_user_min * budget.gamma_bar_ub, budget.gamma_bar_rb, p_relay_max, c_th)
     return UserConfig(budget, p_user_max, p_relay_max, p_user_min, p_relay_min, rate_min)
 
 

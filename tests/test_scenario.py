@@ -145,6 +145,33 @@ class TestBuildScenario:
         del doc["users"][0]["p_user_min_w"]  # both derived: the user's own power reaches C_th
         assert build_scenario(parse_scenario(doc)).users[0].p_relay_min > 0
 
+    def test_lone_min_power_just_below_threshold_gives_smallest_partner(self):
+        # The given relay power's mean SNR rounds to one ulp below C_th; every user power
+        # down to about half the smallest partner still rounds the sum up to C_th.
+        scenario = build_scenario(parse_scenario(scenario_doc()))
+        gub, grb, c_th = scenario.users[0].budget.gamma_bar_ub, scenario.users[0].budget.gamma_bar_rb, scenario.c_th
+        p_relay = math.nextafter(c_th, 0) / grb
+        while p_relay * grb >= c_th:
+            p_relay = math.nextafter(p_relay, 0)
+        assert c_th - p_relay * grb <= 4 * math.ulp(c_th)
+        doc = scenario_doc()
+        doc["users"][0]["p_relay_min_w"] = p_relay
+        user = build_scenario(parse_scenario(doc)).users[0]
+        assert user.p_relay_min == p_relay and 0 < user.p_user_min
+        assert user.p_user_min * gub + p_relay * grb >= c_th
+        assert math.nextafter(user.p_user_min, 0) * gub + p_relay * grb < c_th
+
+    @pytest.mark.parametrize("given", [{}, {"p_user_min_w": 0}, {"p_relay_min_w": 0}, {"p_relay_min_w": 0.05}])
+    def test_overflowing_sum_at_maximum_powers_exit_2(self, tmp_path, capsys, given):
+        doc = scenario_doc()
+        doc["users"][0].update(given, p_user_max_w=1e306)  # mean SNR 1e4 per watt: the sum is inf
+        with pytest.raises(ValueError, match="non-finite mean SNR sum"):
+            build_scenario(parse_scenario(doc))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", str(path)]) == 2
+        assert "non-finite mean SNR sum inf" in capsys.readouterr().err
+
     def test_explicit_min_powers_respected(self):
         doc = scenario_doc()
         doc["users"][0]["p_user_min_w"] = 0.02

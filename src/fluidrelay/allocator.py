@@ -32,6 +32,7 @@ say which trials are infeasible and why; one realization is ``T = 1``.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,69 +152,59 @@ def half_duplex_rate(bandwidth, snr):
     return 0.5 * bandwidth * _rate_scale(snr)
 
 
-def derive_min_powers(
-    budget: LinkBudget,
-    p_user_max: float,
-    p_relay_max: float,
-    c_th: float,
-) -> tuple[float, float]:
-    """Smallest (t * max) power pair whose mean SNR sum still meets C_th.
+def derive_min_powers(budget: LinkBudget, p_user_max: float, p_relay_max: float, c_th: float) -> tuple[float, float]:
+    """The corner :func:`power_box` derives when no minimum power is given."""
+    box = power_box(budget, p_user_max, p_relay_max, 0.0, c_th)
+    return box.p_user_min, box.p_relay_min
 
-    ``t = C_th / S`` (``S`` the sum at maximum powers), raised one ulp at a
-    time until the returned pair passes the guard of :func:`optimize_powers`.
-    :func:`power_box` uses it when no minimum power is given.
+
+def _smallest_passing(passes, cap: float) -> float:
+    """Smallest x in [0, cap] with ``passes(x)``, for a nondecreasing test that ``cap`` passes.
+
+    Bit patterns order nonnegative doubles, so bisecting them takes at most 64 steps.
     """
-    gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
-    full_sum = mean_snr_sum(p_user_max, p_relay_max, gub, grb)
-    if not math.isfinite(full_sum):
-        raise ValueError(f"maximum powers give a non-finite mean SNR sum {full_sum}")
-    if full_sum < c_th:
-        raise InfeasibleError(
-            "INFEASIBLE_POWER",
-            f"even maximum powers give mean SNR sum {full_sum:.6g} < threshold {c_th:.6g}",
-        )
-    t = c_th / full_sum if c_th < full_sum else 1.0
-    while mean_snr_sum(t * p_user_max, t * p_relay_max, gub, grb) < c_th:
-        t = math.nextafter(t, math.inf)
-    return t * p_user_max, t * p_relay_max
-
-
-def _partner_min(given_snr: float, gain: float, cap: float, c_th: float) -> float:
-    """Smallest power up to ``cap`` whose mean SNR ``power * gain`` lifts ``given_snr`` to C_th.
-
-    The rounded sum never falls as the power grows: bisecting bit patterns takes at most 64 steps."""
-    if not given_snr + cap * gain >= c_th:
-        msg = f"a given minimum power and the other cap give mean SNR sum {given_snr + cap * gain:.6g} < {c_th:.6g}"
-        raise InfeasibleError("INFEASIBLE_POWER", msg)
-    if given_snr >= c_th:
-        return 0.0
-    fails, passes = 0, int(np.float64(cap).view(np.int64))  # bit patterns order nonnegative doubles
-    while passes - fails > 1:
-        mid = (fails + passes) // 2
-        if given_snr + float(np.int64(mid).view(np.float64)) * gain >= c_th:
-            passes = mid
+    fails, ok = -1, struct.unpack("<q", struct.pack("<d", cap))[0]
+    while ok - fails > 1:
+        mid = (fails + ok) // 2
+        if passes(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            ok = mid
         else:
             fails = mid
-    return float(np.int64(passes).view(np.float64))
+    return struct.unpack("<d", struct.pack("<q", ok))[0]
+
+
+def _require_reach(label: str, p_user, p_relay, gamma_ub, gamma_rb, c_th: float) -> float:
+    """The mean SNR sum of the powers ``label`` names; INFEASIBLE_POWER when it falls below C_th."""
+    total = mean_snr_sum(p_user, p_relay, gamma_ub, gamma_rb)
+    if total < c_th:
+        raise InfeasibleError("INFEASIBLE_POWER", f"{label} give mean SNR sum {total:.6g} < threshold {c_th:.6g}")
+    return total
 
 
 def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_user_min=None, p_relay_min=None):
-    """A user's :class:`UserConfig`, with minimum powers as given; neither given: :func:`derive_min_powers`.
+    """A user's :class:`UserConfig`; a minimum power not given is the smallest passing :func:`optimize_powers`'s guard.
 
-    With one given, the other is the smallest power up to its cap whose
-    pair passes the guard of :func:`optimize_powers` (0 when the given power
-    alone does); InfeasibleError when that cap falls short.  Unless both
-    are given, maximum powers raise as in :func:`derive_min_powers`.
+    Neither given: the least scaling ``t * (p_user_max, p_relay_max)``, ``t`` in [0, 1]; one given: the least
+    other power in [0, its cap], 0 when the given one alone passes.  Unless both are given, a non-finite mean
+    SNR sum at maximum powers raises ValueError, and a box that cannot reach C_th InfeasibleError.
     """
+    if p_user_min is not None and p_relay_min is not None:
+        return UserConfig(budget, p_user_max, p_relay_max, p_user_min, p_relay_min, rate_min)
+    gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
+    full_sum = _require_reach("even maximum powers", p_user_max, p_relay_max, gub, grb, c_th)
+    if not math.isfinite(full_sum):
+        raise ValueError(f"maximum powers give a non-finite mean SNR sum {full_sum}")
+    # corner(x) is the power pair at search point x in [0, cap]; cap's pair reaches C_th.
     if p_user_min is None and p_relay_min is None:
-        p_user_min, p_relay_min = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
-    elif p_user_min is None or p_relay_min is None:
-        derive_min_powers(budget, p_user_max, p_relay_max, c_th)  # for its checks at maximum powers only
+        corner, cap = (lambda t: (t * p_user_max, t * p_relay_max)), 1.0
+    else:
         if p_user_min is None:
-            p_user_min = _partner_min(p_relay_min * budget.gamma_bar_rb, budget.gamma_bar_ub, p_user_max, c_th)
+            corner, cap = (lambda p: (p, p_relay_min)), p_user_max
         else:
-            p_relay_min = _partner_min(p_user_min * budget.gamma_bar_ub, budget.gamma_bar_rb, p_relay_max, c_th)
-    return UserConfig(budget, p_user_max, p_relay_max, p_user_min, p_relay_min, rate_min)
+            corner, cap = (lambda p: (p_user_min, p)), p_relay_max
+        _require_reach("a given minimum power and the other cap", *corner(cap), gub, grb, c_th)
+    least = _smallest_passing(lambda x: mean_snr_sum(*corner(x), gub, grb) >= c_th, cap)
+    return UserConfig(budget, p_user_max, p_relay_max, *corner(least), rate_min)
 
 
 def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
@@ -303,12 +294,7 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
     """
     if s.gamma_ub <= 0 or s.gamma_rb <= 0:
         raise ValueError("optimize_powers requires positive mean UB/RB SNRs")
-    guard = mean_snr_sum(cfg.p_user_min, cfg.p_relay_min, s.gamma_ub, s.gamma_rb)
-    if guard < c_th:
-        raise InfeasibleError(
-            "INFEASIBLE_POWER",
-            f"minimum powers give mean SNR sum {guard:.6g} < threshold {c_th:.6g}",
-        )
+    _require_reach("minimum powers", cfg.p_user_min, cfg.p_relay_min, s.gamma_ub, s.gamma_rb, c_th)
     shape = np.shape(s.gamma_ur)
     p_user = np.full(shape, float(cfg.p_user_max))
     p_relay = np.full(shape, float(cfg.p_relay_max))

@@ -43,7 +43,16 @@ from .allocator import (
 )
 from .channel import CorrelationMatrix, PortGrid, best_gain_sq, build_correlation, sample_gains
 from .errors import InfeasibleError
-from .outage import LinkBudget, OutageQuery, OutageResult, Selection, scheme_region, select_scheme, snr_threshold
+from .outage import (
+    LinkBudget,
+    OutageQuery,
+    OutageResult,
+    Selection,
+    mean_snr_sum,
+    scheme_region,
+    select_scheme,
+    snr_threshold,
+)
 from .seeding import substream
 
 PROPOSED = "proposed"
@@ -371,18 +380,22 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas):
 def _solve_random_power(users, total_bw, c_th, gammas, uniforms):
     """Uniform random powers in the box, scheme by the selection rule: per-trial sum rates and reasons."""
     snr = np.empty(gammas.shape)
+    short = np.zeros(len(gammas), dtype=bool)  # a user's draw misses C_th: INFEASIBLE_POWER
     for k, user in enumerate(users):
         # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
         pu = user.p_user_min + (user.p_user_max - user.p_user_min) * uniforms[:, k, 0]
         pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * uniforms[:, k, 1]
         triple = SnrTriple.from_budget(user.budget, gammas[:, k])
-        sends = pu > 0  # a 0 W draw has SNR 0 under either scheme; the rule's tie convention picks AF
+        reach = mean_snr_sum(pu, pr, triple.gamma_ub, triple.gamma_rb) >= c_th
+        short |= ~reach
+        sends = reach & (pu > 0)  # a 0 W draw has SNR 0 under either scheme; the rule's tie convention picks AF
         scheme = np.full(pu.shape, Selection.AF, dtype=object)
         scheme[sends] = scheme_region(pu[sends], pr[sends], c_th, triple.gamma_ub, triple.gamma_rb)
         snr[:, k] = scheme_snr(scheme, pu, pr, triple)
     bandwidth, errors = allocate_bandwidth_rows(snr, [u.rate_min for u in users], total_bw)
     rate = half_duplex_rate(bandwidth, snr)
-    return sum_over_users(rate), tuple("" if err is None else err.reason for err in errors)
+    reasons = ("INFEASIBLE_POWER" if s else "" if err is None else err.reason for s, err in zip(short, errors))
+    return np.where(short, 0.0, sum_over_users(rate)), tuple(reasons)
 
 
 def run_benchmark(

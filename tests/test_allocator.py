@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -207,6 +209,27 @@ class TestDeriveMinPowers:
         pu, pr = derive_min_powers(budget, 1.0, 1.0, 1.0)
         assert pu * 2.0 + pr * 3.0 >= 1.0
         assert pu == pytest.approx(0.2, rel=1e-9)  # t = C_th / 5
+
+    def test_returns_the_smallest_passing_scaling(self):
+        # t = 5/12: the pair sums to exactly C_th, and no smaller scaling reaches it.
+        pu, pr = derive_min_powers(unit_budget(1.0, 3.0), 0.3, 0.7, 1.0)
+        assert (pu, pr) == (0.125, 0.2916666666666667)
+        assert mean_snr_sum(pu, pr, 1.0, 3.0) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma_ub=st.floats(1e-6, 1e9),
+        gamma_rb=st.floats(1e-6, 1e9),
+        p_relay_max=st.floats(1e-6, 1e2),
+        log_fraction=st.floats(-9.0, 0.0),
+    )
+    def test_one_double_below_the_scaling_fails_the_guard(self, gamma_ub, gamma_rb, p_relay_max, log_fraction):
+        # With p_user_max = 1 the derived user power is the scaling t itself.
+        c_th = 10.0**log_fraction * mean_snr_sum(1.0, p_relay_max, gamma_ub, gamma_rb)
+        t, pr = derive_min_powers(unit_budget(gamma_ub, gamma_rb), 1.0, p_relay_max, c_th)
+        assert pr == t * p_relay_max and mean_snr_sum(t, pr, gamma_ub, gamma_rb) >= c_th
+        lower = math.nextafter(t, 0.0)
+        assert mean_snr_sum(lower, lower * p_relay_max, gamma_ub, gamma_rb) < c_th
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError) as err:

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import fluidrelay.cli as cli
 from fluidrelay import scheme_region
-from fluidrelay.harness import SCHEMES
+from fluidrelay.harness import SCHEMES, run_benchmark
 from fluidrelay.outage import snr_threshold
-from fluidrelay.scenario import load_scenario
+from fluidrelay.scenario import build_scenario, load_scenario
 
 DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -570,31 +570,28 @@ class TestSweep:
         rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
         assert len(rows) == 2 * 4 and all(row[3:] == ["0", "false"] for row in rows)
 
+    def test_random_power_draws_below_threshold_are_infeasible_rows(self, tmp_path):
+        # 1 mW relay caps and zero minimum powers let some random draws miss C_th = 255.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"].update(xi_bits=4, trials=100)
+        for user in doc["users"]:
+            user.update(p_relay_max_w=1e-3, p_user_min_w=0, p_relay_min_w=0)
+        doc["sweep"] = {"variable": "num_ports", "values": [1, 2], "schemes": ["proposed", "random_power"]}
+        path = write_doc(tmp_path, doc)
+        result = run_cli("sweep", path)
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+        drawn = [row[3:] for row in rows if row[1] == "random_power"]
+        assert len(drawn) == 2 * 100 and ["0", "false"] in drawn and any(row[1] == "true" for row in drawn)
+        records = run_benchmark(build_scenario(load_scenario(path)), "random_power", doc["system"]["seed"])
+        assert {r.reason for r in records if not r.feasible} == {"INFEASIBLE_POWER"}
+        assert all(r.sum_rate == 0 for r in records if not r.feasible)
+
     def test_integral_float_port_count_runs(self, tmp_path):
         doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2.0], "schemes": ["proposed"]})
         result = run_cli("sweep", write_doc(tmp_path, doc))
         assert result.returncode == 0
         assert len(result.stdout.strip().split("\n")) == 1 + 2 * 4
-
-
-class TestDeterminism:
-    def test_sweep_bytes_identical_across_threads(self, tmp_path):
-        doc = base_doc(
-            sweep={"variable": "num_ports", "values": [1, 3], "schemes": ["proposed", "random_power"]}
-        )
-        path = write_doc(tmp_path, doc)
-        single = run_module("sweep", path, "--threads", "1")
-        eight = run_module("sweep", path, "--threads", "8")
-        assert single.returncode == eight.returncode == 0
-        assert single.stdout == eight.stdout
-
-    def test_op_surface_bytes_identical_across_threads(self, tmp_path):
-        path = write_doc(tmp_path, base_doc())
-        args = ("op-surface", path, "--steps", "5", "--target-error", "5e-3")
-        single = run_module(*args, "--threads", "1")
-        eight = run_module(*args, "--threads", "8")
-        assert single.returncode == eight.returncode == 0
-        assert single.stdout == eight.stdout
 
 
 class TestFormatting:

@@ -112,19 +112,23 @@ class TestBuildScenario:
 
     @pytest.mark.parametrize("key", ["p_user_min_w", "p_relay_min_w"])
     def test_lone_min_power_derives_the_smallest_partner(self, key):
-        doc = scenario_doc()
-        doc["users"][0][key] = 0
-        scenario = build_scenario(parse_scenario(doc))
-        user = scenario.users[0]
-        gub, grb = user.budget.gamma_bar_ub, user.budget.gamma_bar_rb
-        if key == "p_user_min_w":
-            given, partner, shrunk = user.p_user_min, user.p_relay_min, (0.0, math.nextafter(user.p_relay_min, 0))
-        else:
-            given, partner, shrunk = user.p_relay_min, user.p_user_min, (math.nextafter(user.p_user_min, 0), 0.0)
-        assert given == 0.0 and 0 < partner < 0.1
-        # The pair passes optimize_powers's guard exactly, and one ulp less does not.
-        assert user.p_user_min * gub + user.p_relay_min * grb >= scenario.c_th
-        assert shrunk[0] * gub + shrunk[1] * grb < scenario.c_th
+        # The given power alone has mean SNR 0, then 0.1: both below C_th ~ 0.149.
+        for value in (0, 1e-5 if key == "p_user_min_w" else 1e-7):
+            doc = scenario_doc()
+            doc["users"][0][key] = value
+            scenario = build_scenario(parse_scenario(doc))
+            user = scenario.users[0]
+            gub, grb = user.budget.gamma_bar_ub, user.budget.gamma_bar_rb
+            if key == "p_user_min_w":
+                given, partner = user.p_user_min, user.p_relay_min
+                shrunk = (given, math.nextafter(partner, 0))
+            else:
+                given, partner = user.p_relay_min, user.p_user_min
+                shrunk = (math.nextafter(partner, 0), given)
+            assert given == value and 0 < partner < 0.1
+            # The pair passes optimize_powers's guard exactly, and one double below the partner does not.
+            assert user.p_user_min * gub + user.p_relay_min * grb >= scenario.c_th
+            assert shrunk[0] * gub + shrunk[1] * grb < scenario.c_th
 
     def test_lone_min_power_alone_feasible_gives_zero_partner(self):
         doc = scenario_doc()

@@ -41,6 +41,7 @@ from .outage import (
     best_gain_cdf,
     op_surface,
     outage_probabilities,
+    outage_thresholds,
     scheme_region,
     select_scheme,
     xi_af,

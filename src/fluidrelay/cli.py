@@ -206,6 +206,9 @@ def cmd_sweep(args) -> int:
     spec = load_scenario(args.scenario)
     if spec.sweep is None:
         raise ValueError("missing key: sweep (the sweep command needs a sweep section)")
+    if spec.sweep.variable == "relay_power_max":
+        # Each value rebuilds every box from its user cap, so the file's own box is taken as given, unchecked.
+        spec = replace(spec, users=tuple(replace(u, p_user_min=0.0, p_relay_min=0.0) for u in spec.users))
     scenario = build_scenario(spec)
     result = run_sweep(scenario, spec.sweep)
     rows = [

@@ -49,8 +49,8 @@ from .outage import (
     OutageResult,
     Selection,
     mean_snr_sum,
+    outage_thresholds,
     scheme_region,
-    select_scheme,
     snr_threshold,
 )
 from .seeding import substream
@@ -283,18 +283,18 @@ def empirical_outage(
 
     Both schemes are evaluated on one draw of best-port gains, by the
     allocator's :func:`snr_af` and :func:`snr_df`.  Mean
-    UB/RB SNRs are used exactly as the analytic OP does, so the
-    infeasible branch is deterministic (both 1.0 with zero variance);
-    only the best-port gain is sampled.  ``selection`` is the closed-form
-    rule of ``select_scheme``, as in ``outage_probabilities``.  Outages
+    UB/RB SNRs are used exactly as the analytic OP does, so certain
+    outage is deterministic (both 1.0 with zero variance); only the
+    best-port gain is sampled.  The selection and the certain-outage test
+    come from :func:`outage_thresholds`, as in ``outage_probabilities``.  Outages
     are counted per block of :func:`_best_gain_blocks`, so a call holds
     one block (32 * N bytes a row, 0.5 MB on a 4x4 grid) and no array of
     ``trials`` length.
     """
     if trials < 10_000:
         raise ValueError("empirical outage needs at least 1e4 trials")
-    selection = select_scheme(q, lb)
-    if selection is Selection.INFEASIBLE or q.p_user == 0:
+    selection, thresholds = outage_thresholds(q, lb)  # the thresholds go unused: outages are counted
+    if thresholds is None:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     c_th = q.c_th
     af_outages = df_outages = 0
@@ -449,7 +449,10 @@ def _sweep_scenario(scenario: Scenario, variable: str, value) -> Scenario:
         side = int(value)
         return replace(scenario, grid=PortGrid(side, side, scenario.grid.w1, scenario.grid.w2))
     if variable == "relay_power_max":
-        users = (power_box(u.budget, u.p_user_max, float(value), u.rate_min, scenario.c_th) for u in scenario.users)
+        try:
+            users = [power_box(u.budget, u.p_user_max, float(value), u.rate_min, scenario.c_th) for u in scenario.users]
+        except InfeasibleError as err:
+            raise InfeasibleError(err.reason, f"{variable}={value:g}: {err.detail}") from err
         return replace(scenario, users=tuple(users))
     raise ValueError(f"unknown sweep variable {variable!r}")
 

@@ -234,8 +234,7 @@ def select_scheme(q: OutageQuery, lb: LinkBudget) -> Selection:
     if mean_snr_sum(q.p_user, q.p_relay, lb.gamma_bar_ub, lb.gamma_bar_rb) <= c_th:
         return Selection.INFEASIBLE
     if q.p_user == 0:
-        # No user signal: outage certain with either scheme (both
-        # thresholds diverge); tie convention picks AF.
+        # No user signal: outage certain either way (both thresholds diverge); ties pick AF.
         return Selection.AF
     af = _af_minimizes_outage(q.p_user, q.p_relay, c_th, lb.gamma_bar_ub, lb.gamma_bar_rb)
     return Selection.AF if af else Selection.DF
@@ -351,11 +350,12 @@ def best_gain_cdf_estimate(
     return _as_cdf(BestGainCdf, corr, config).estimate(x)
 
 
-def _thresholds(q: OutageQuery, lb: LinkBudget) -> tuple[float, float] | None:
-    """Best-gain (AF, DF) thresholds of ``q``, or None when outage is certain either way."""
-    if q.p_user == 0 or select_scheme(q, lb) is Selection.INFEASIBLE:
-        return None
-    return max(xi_af(q, lb), 0.0), xi_df(q, lb)
+def outage_thresholds(q: OutageQuery, lb: LinkBudget) -> tuple[Selection, tuple[float, float] | None]:
+    """``q``'s selection and best-gain (AF, DF) thresholds, None for them when outage is certain either way."""
+    selection = select_scheme(q, lb)
+    if selection is Selection.INFEASIBLE or q.p_user == 0:
+        return selection, None
+    return selection, (max(xi_af(q, lb), 0.0), xi_df(q, lb))
 
 
 def outage_probabilities(
@@ -368,12 +368,11 @@ def outage_probabilities(
 
     ``corr`` is the port correlation matrix (evaluated with ``config``,
     default ``CopulaConfig()``) or an :class:`OutageCdfs`, whose memos
-    then serve the call.  The infeasible region (mean SNR sum <= C_th,
-    boundary included) returns exactly (1, 1, INFEASIBLE).  A nonpositive
-    AF threshold returns OP_AF exactly 0.
+    then serve the call.  Where :func:`outage_thresholds` finds outage
+    certain (mean SNR sum <= C_th, or no user power) both are exactly 1.
+    A nonpositive AF threshold returns OP_AF exactly 0.
     """
-    selection = select_scheme(q, lb)
-    thresholds = _thresholds(q, lb)
+    selection, thresholds = outage_thresholds(q, lb)
     if thresholds is None:
         return OutageResult(op_af=1.0, op_df=1.0, selection=selection)
     cdfs = _as_cdf(OutageCdfs, corr, config)
@@ -421,7 +420,7 @@ def op_surface(
 
     def evaluate_row(pu):
         queries = [OutageQuery(pu, pr, xi) for pr in p_relay_values]
-        cdfs = OutageCdfs(corr, config, [pair for q in queries if (pair := _thresholds(q, lb)) is not None])
+        cdfs = OutageCdfs(corr, config, [pair for q in queries if (pair := outage_thresholds(q, lb)[1]) is not None])
         return [outage_probabilities(q, lb, cdfs) for q in queries]
 
     distinct = list(dict.fromkeys(p_user_values))

@@ -588,7 +588,11 @@ def run_benchmark_per_trial(scenario, scheme, seed):
                     pu = rng.uniform(user.p_user_min, user.p_user_max)
                     pr = rng.uniform(user.p_relay_min, user.p_relay_max)
                     triple = SnrTriple.from_budget(user.budget, gamma_ur)
-                    region = _scalar_scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
+                    if mean_snr_sum(pu, pr, triple.gamma_ub, triple.gamma_rb) < c_th:
+                        raise InfeasibleError("INFEASIBLE_POWER", "a random power draw misses C_th")
+                    region = Selection.AF  # a 0 W user draw sends nothing: SNR 0, AF by the tie convention
+                    if pu > 0:
+                        region = _scalar_scheme_region(pu, pr, c_th, triple.gamma_ub, triple.gamma_rb)
                     snrs.append(_scalar_snr(region, pu, pr, triple))
                 rate_mins = [u.rate_min for u in scenario.users]
                 bandwidth = scalar_allocate_bandwidth(snrs, rate_mins, scenario.total_bw)

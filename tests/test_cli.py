@@ -391,6 +391,14 @@ class TestOptimize:
         assert result.returncode == 5
         assert "INFEASIBLE_BANDWIDTH" in result.stderr
 
+    def test_given_minimum_powers_below_threshold_exit_5(self, tmp_path):
+        # The same box makes every power-controlled sweep trial an INFEASIBLE_POWER row (TestSweep).
+        doc = base_doc()
+        doc["users"][0].update(p_user_min_w=1e-9, p_relay_min_w=1e-9)
+        result = run_cli("optimize", write_doc(tmp_path, doc))
+        assert result.returncode == 5
+        assert "INFEASIBLE_POWER: minimum powers give mean SNR sum" in result.stderr
+
     def test_bit_exact_across_runs(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         first = run_cli("optimize", path)
@@ -519,6 +527,44 @@ class TestSweep:
         proposed = {r[2]: r[3] for r in rows if r[0] == "1" and r[1] == "proposed"}
         tas = {r[2]: r[3] for r in rows if r[0] == "1" and r[1] == "tas"}
         assert proposed == tas
+
+    def test_given_minimum_powers_below_threshold_are_infeasible_rows(self, tmp_path):
+        # Given minimums are not checked against C_th when the box is built: each trial reports them.
+        schemes = ["proposed", "tas", "avg_bandwidth"]
+        doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2], "schemes": schemes})
+        doc["users"][0].update(p_user_min_w=1e-9, p_relay_min_w=1e-9)
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 2 * 3 * 4 and all(row[3:] == ["0", "false"] for row in rows)
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_box_that_cannot_reach_threshold_exit_5(self, tmp_path, command):
+        doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2]})
+        doc["users"][0].update(p_user_max_w=1e-9, p_relay_max_w=1e-9)
+        result = run_cli(command, write_doc(tmp_path, doc))
+        assert result.returncode == 5 and result.stdout == ""
+        assert "INFEASIBLE_POWER: even maximum powers give mean SNR sum" in result.stderr
+
+    def test_relay_cap_sweep_ignores_the_file_box(self, tmp_path):
+        # Every file relay cap of 1 uW misses C_th = 255, but every swept cap reaches it.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"].update(xi_bits=4, trials=2)
+        for user in doc["users"]:
+            user["p_relay_max_w"] = 1e-6
+        doc["sweep"] = {"variable": "relay_power_max", "values": [0.01, 0.1], "schemes": ["proposed", "tas"]}
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
+        assert len(rows) == 2 * 2 * 2 and all(row[4] == "true" for row in rows)
+
+    def test_relay_cap_sweep_names_an_infeasible_value(self, tmp_path):
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"].update(xi_bits=4, trials=2)
+        doc["sweep"] = {"variable": "relay_power_max", "values": [1e-6, 0.1], "schemes": ["proposed", "tas"]}
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 5 and result.stdout == ""
+        assert "INFEASIBLE_POWER: relay_power_max=1e-06: even maximum powers give" in result.stderr
 
     def test_missing_sweep_section_exit_2(self, tmp_path):
         path = write_doc(tmp_path, base_doc())

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,11 @@ from fluidrelay.harness import (
     run_benchmark,
     run_sweep,
 )
-from fluidrelay.outage import CopulaConfig, best_gain_cdf, outage_probabilities
+from fluidrelay.outage import CopulaConfig, OutageResult, best_gain_cdf, outage_probabilities, snr_threshold
+from fluidrelay.scenario import build_scenario, load_scenario
 from fluidrelay.seeding import derive_seed, substream
+
+DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
 
 UNIT_BUDGET = LinkBudget(alpha_ur=1.0, alpha_ub=1.0, alpha_rb=1.0, sigma2_relay=1.0, sigma2_bs=1.0)
 
@@ -73,6 +77,18 @@ class TestEmpiricalOutage:
         result = empirical_outage(q, UNIT_BUDGET, default_grid_corr, 10_000, seed=1)
         assert (result.op_af, result.op_df) == (1.0, 1.0)
         assert result.selection is Selection.INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "scales, selection",
+        [((0.2, 0.2), Selection.INFEASIBLE), ((0.45, 0.45), Selection.INFEASIBLE), ((0.0, 2.0), Selection.AF)],
+    )
+    def test_certain_outage_is_the_analytic_result(self, default_grid_corr, scales, selection):
+        # validate's two probes below the feasibility boundary (0.4 and 0.9 of it), and no user power.
+        budget = load_scenario(DEFAULT_SCENARIO).users[0].budget
+        c_th = snr_threshold(0.1)
+        q = OutageQuery(scales[0] * c_th / budget.gamma_bar_ub, scales[1] * c_th / budget.gamma_bar_rb, 0.1)
+        sampled = empirical_outage(q, budget, default_grid_corr, 10_000, seed=7)
+        assert sampled == outage_probabilities(q, budget, default_grid_corr) == OutageResult(1.0, 1.0, selection)
 
     def test_direct_link_sufficient_af_never_fails(self, default_grid_corr):
         q = OutageQuery(1.5, 0.5, 0.5)  # p_user*gamma_ub = 1.5 > C_th = 1
@@ -353,6 +369,17 @@ class TestSharedDraws:
         assert _bits(records) == _bits(run_benchmark_per_trial(scenario, scheme, scenario.seed))
         if scheme in (PROPOSED, TAS, AVG_BANDWIDTH):
             assert {r.reason for r in records} == {"INFEASIBLE_POWER"}
+
+    @pytest.mark.parametrize("ports", [1, 2])
+    def test_random_power_draws_below_threshold_match_per_trial_oracle(self, ports):
+        # 1 mW relay caps and zero minimum powers let some random draws miss C_th = 255.
+        spec = load_scenario(DEFAULT_SCENARIO)
+        users = tuple(replace(u, p_relay_max=1e-3, p_user_min=0.0, p_relay_min=0.0) for u in spec.users)
+        grid = replace(spec.grid, n1=ports, n2=ports)
+        scenario = build_scenario(replace(spec, xi=4.0, trials=10, grid=grid, users=users))
+        records = run_benchmark(scenario, RANDOM_POWER, scenario.seed)
+        assert "INFEASIBLE_POWER" in {r.reason for r in records}
+        assert _bits(records) == _bits(run_benchmark_per_trial(scenario, RANDOM_POWER, scenario.seed))
 
     @pytest.mark.parametrize(
         "variable, values, schemes",

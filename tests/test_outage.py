@@ -578,6 +578,18 @@ class TestOpSurface:
         with pytest.raises(ValueError):
             op_surface([], [1.0], XI_HALF, UNIT_BUDGET, default_grid_corr)
 
+    def test_each_point_applies_the_rule_twice(self, default_grid_corr, monkeypatch):
+        # The op-surface command's default 20x20 map: once for the row's thresholds, once for the point.
+        calls = []
+        rule = outage.select_scheme
+        monkeypatch.setattr(outage, "select_scheme", lambda q, lb: calls.append(q) or rule(q, lb))
+        c_th = snr_threshold(0.1)
+        p_users = np.linspace(0.0, 3.0 * c_th / DEFAULT_USER0.gamma_bar_ub, 20)
+        p_relays = np.linspace(0.0, 3.0 * c_th / DEFAULT_USER0.gamma_bar_rb, 20)
+        config = CopulaConfig(target_abs_error=5e-3)
+        points = op_surface(p_users, p_relays, 0.1, DEFAULT_USER0, default_grid_corr, config, n_threads=1)
+        assert len(points) == 400 and len(calls) == 800
+
     def test_op_af_nonincreasing_along_relay_power(self, default_grid_corr):
         config = CopulaConfig(target_abs_error=1e-3, seed=3)
         points = op_surface([0.7], [0.35, 0.6, 1.0, 1.6], XI_HALF, UNIT_BUDGET, default_grid_corr, config)

@@ -13,7 +13,7 @@ boxes) decomposes:
    by one monotone curve);
 3. bandwidth then has a closed form: every user gets exactly the slice
    its minimum rate needs, and the user with the highest SNR absorbs the
-   residual.
+   residual, lowered by one bounded search when the row overshoots.
 
 CSI convention: user->BS and relay->BS links enter through *mean*
 normalized SNRs everywhere (the relay has only statistical CSI for
@@ -161,9 +161,11 @@ def derive_min_powers(budget: LinkBudget, p_user_max: float, p_relay_max: float,
 def _smallest_passing(passes, cap: float) -> float:
     """Smallest x in [0, cap] with ``passes(x)``, for a nondecreasing test that ``cap`` passes.
 
-    Bit patterns order nonnegative doubles, so bisecting them takes at most 64 steps.
+    Bit patterns order nonnegative doubles, so bisecting them takes at most 64 steps.  The double
+    below ``cap`` is tested first: when it fails, ``cap`` is the answer after that one test.
     """
-    fails, ok = -1, struct.unpack("<q", struct.pack("<d", cap))[0]
+    ok = struct.unpack("<q", struct.pack("<d", cap))[0]
+    fails = ok - 1 if ok > 0 and not passes(struct.unpack("<d", struct.pack("<q", ok - 1))[0]) else -1
     while ok - fails > 1:
         mid = (fails + ok) // 2
         if passes(struct.unpack("<d", struct.pack("<q", mid))[0]):
@@ -329,8 +331,8 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
 
     Returns ``(bandwidth, errors)``.  ``errors[t]`` is the InfeasibleError
     that row ``t`` raises in :func:`allocate_bandwidth`, or None; infeasible
-    rows get zero bandwidth.  The ulp nudges run on masks, so every feasible
-    row meets both exact inequalities.
+    rows get zero bandwidth.  Every feasible row meets both exact inequalities;
+    an over-budget row's leader residual comes from one :func:`_smallest_passing`.
     """
     snrs = np.asarray(snrs, dtype=float)
     rate_mins = np.asarray(rate_mins, dtype=float)
@@ -362,13 +364,16 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
     bandwidth = need
     bandwidth[rows, leader] = residual
     # Keep each feasible row's summed total within the budget as an exact
-    # inequality.  An infeasible row is zeroed below; a leader whose need
-    # dwarfs the others' can leave its row over by ~1e13 ulps of the residual.
-    over = (residual >= leader_need) & (bandwidth.sum(axis=1) > total_bw)
-    while over.any():
-        residual[over] = np.nextafter(residual[over], -np.inf)
-        bandwidth[rows, leader] = residual
-        over &= bandwidth.sum(axis=1) > total_bw
+    # inequality.  The row sum never falls as the residual grows, so the leader
+    # takes the double below the smallest residual that overshoots; when even
+    # 0 overshoots, that double is negative and the row infeasible below.
+    for t in np.flatnonzero((residual >= leader_need) & (bandwidth.sum(axis=1) > total_bw)):
+
+        def overshoots(r, row=bandwidth[t], k=leader[t]):
+            row[k] = r
+            return row.sum() > total_bw
+
+        residual[t] = bandwidth[t, leader[t]] = np.nextafter(_smallest_passing(overshoots, residual[t]), -np.inf)
 
     errors = [None] * len(snrs)
     for t in np.flatnonzero(dead.any(axis=1) | unbounded | ~(residual >= leader_need)):
@@ -395,9 +400,9 @@ def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
     residual cannot cover the leader's own minimum, and NumericalError
     when an SNR is not finite.
 
-    The returned slices are nudged by ulps so that ``sum(b) <= total_bw``
-    and ``half_duplex_rate(b, snr) >= rate_min`` hold as exact
-    floating-point inequalities.
+    ``sum(b) <= total_bw`` and ``half_duplex_rate(b, snr) >= rate_min`` hold as
+    exact floating-point inequalities: slices rise by ulps to meet their minimums,
+    and a leader's residual that overshoots drops to the largest double that fits.
     """
     snrs = np.asarray(snrs, dtype=float)
     if snrs.ndim != 1 or snrs.shape != np.shape(rate_mins):

@@ -18,6 +18,7 @@ correlation matrix against one port pair at a time.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -497,7 +498,13 @@ def scalar_allocate_bandwidth(snrs, rate_mins, total_bw):
             needs[k] = need
     leader = int(np.argmax(snrs))
     bandwidth = np.array(needs)
-    residual = float(total_bw - (bandwidth.sum() - needs[leader]))
+    with np.errstate(over="ignore"):
+        needed = bandwidth.sum()
+    if math.isinf(needed):
+        raise InfeasibleError(
+            "INFEASIBLE_BANDWIDTH", f"the minimum rates need more than {sys.float_info.max:.6g} Hz of bandwidth"
+        )
+    residual = float(total_bw - (needed - needs[leader]))
     bandwidth[leader] = residual
     while bandwidth.sum() > total_bw:
         residual = math.nextafter(residual, -math.inf)
@@ -508,6 +515,21 @@ def scalar_allocate_bandwidth(snrs, rate_mins, total_bw):
             f"residual bandwidth {residual:.6g} Hz cannot cover the leader's minimum {needs[leader]:.6g} Hz",
         )
     return bandwidth
+
+
+def leader_residual_is_tight(bandwidth, snrs, rate_mins, total_bw) -> bool:
+    """Assert a split's exact inequalities; True when one ulp more for the SNR leader overshoots ``total_bw``.
+
+    That is, the leader's residual is the largest double that fits the budget.
+    """
+    bandwidth = np.asarray(bandwidth, dtype=float)
+    snrs = np.asarray(snrs, dtype=float)
+    assert bandwidth.sum() <= total_bw
+    assert np.all(0.5 * bandwidth * (np.log1p(snrs) / np.log(2.0)) >= rate_mins)
+    bumped = bandwidth.copy()
+    leader = int(np.argmax(snrs))
+    bumped[leader] = np.nextafter(bumped[leader], np.inf)
+    return bool(bumped.sum() > total_bw)
 
 
 @dataclass(frozen=True)

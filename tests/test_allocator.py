@@ -27,6 +27,7 @@ from fluidrelay.outage import mean_snr_sum, snr_threshold
 from oracles import (
     df_subproblem_grid,
     df_subproblem_sweep,
+    leader_residual_is_tight,
     lp_bandwidth,
     random_df_instance,
     random_power_instance,
@@ -142,8 +143,8 @@ class TestAllocateBandwidth:
 
     def test_leader_need_dwarfing_the_others_is_infeasible(self):
         # The leader's 1.3e29 Hz need absorbs the other user's 6.8e4 Hz in the
-        # summed needs, so its residual read the whole 5e6 Hz and the
-        # over-budget nudge loop ran for ~1e13 ulps.
+        # summed needs, so its residual reads the whole 5e6 Hz and its row overshoots
+        # the budget.  The row is infeasible, and no search lowers that residual.
         with pytest.raises(InfeasibleError) as err:
             allocate_bandwidth([30053.339015540496, 28017.88352606808], [1e30, 5e5], 5e6)
         assert err.value.reason == "INFEASIBLE_BANDWIDTH"
@@ -151,6 +152,43 @@ class TestAllocateBandwidth:
     def test_zero_snr_with_rate_floor(self):
         with pytest.raises(InfeasibleError):
             allocate_bandwidth([0.0, 1.0], [1e5, 1e5], 1e6)
+
+    def test_tiny_leader_residual_is_the_largest_that_fits(self):
+        # The leader's 2.2e-8 Hz residual has an ulp 2^-53 of the budget's: lowering
+        # it one ulp at a time until the row fits would take about 4.5e15 steps.
+        snrs = [330.7363794811689, 0.03077294051434192, 0.7621324210825122, 1.9140814635044372]
+        rate_mins = [0.0, 2526054.585821947, 2994483.036712152, 14817386.939007709]
+        total = 142071635.13105342
+        assert leader_residual_is_tight(allocate_bandwidth(snrs, rate_mins, total), snrs, rate_mins, total)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        num_users=st.integers(2, 12),  # past numpy's 8-element pairwise block
+        total=st.floats(1e3, 1e9),
+        gap_exponent=st.floats(6.0, 16.0),
+        # A leader floor this small vanishes from every partial sum of the slices.
+        leader_rate=st.just(0.0) | st.floats(5e-324, 1e-300, allow_subnormal=True),
+    )
+    def test_near_exhausted_budget_leaves_the_leader_the_largest_residual(
+        self, data, num_users, total, gap_exponent, leader_rate
+    ):
+        leader = data.draw(st.integers(0, num_users - 1))
+        others = st.lists(st.floats(1e-3, 1e3), min_size=num_users - 1, max_size=num_users - 1)
+        snrs, weights = np.array(data.draw(others)), np.array(data.draw(others))
+        # The others' slices sum to total * (1 - 10^-gap_exponent).
+        slices = total * (1.0 - 10.0**-gap_exponent) * weights / weights.sum()
+        rate_mins = np.insert(0.5 * slices * (np.log1p(snrs) / np.log(2.0)), leader, leader_rate)
+        snrs = np.insert(snrs, leader, 2.0 * snrs.max())
+        try:
+            bandwidth = allocate_bandwidth(snrs, rate_mins, total)
+        except InfeasibleError as err:
+            assert err.reason == "INFEASIBLE_BANDWIDTH"
+            return
+        closed_form = total - np.where(np.arange(num_users) == leader, 0.0, bandwidth).sum()
+        # A closed-form residual that fits stays; one that overshoots drops to the largest that fits.
+        assert bandwidth[leader] <= closed_form
+        assert leader_residual_is_tight(bandwidth, snrs, rate_mins, total) or bandwidth[leader] == closed_form
 
     def test_matches_lp_oracle(self):
         rng = np.random.default_rng(11)

@@ -16,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluidrelay.cli as cli
-from fluidrelay import scheme_region
-from fluidrelay.harness import SCHEMES, run_benchmark
+from fluidrelay import scheme_region, solve_system
+from fluidrelay.harness import SCHEMES, TrialDraws, draw_gamma_ur, run_benchmark
 from fluidrelay.outage import snr_threshold
 from fluidrelay.scenario import build_scenario, load_scenario
+
+from oracles import leader_residual_is_tight
 
 DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "default.json")
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -491,6 +493,36 @@ class TestOptimize:
         assert result.returncode == 3
         assert "overflows the DF subproblem" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+class TestTinyLeaderResidual:
+    """The default scenario, user 3 first, with rate floors that leave the SNR leader
+    (user 0, no floor) a residual whose ulp is 2^-33 of the budget's."""
+
+    RATE_MINS = [0.0, 25916534.828188855, 8630643.419976437, 6608338.820274387]
+
+    def doc(self):
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["users"] = [doc["users"][k] for k in (3, 0, 1, 2)]
+        for user, rate in zip(doc["users"], self.RATE_MINS):
+            user["rate_min_bps"] = rate
+        doc["system"]["trials"] = 1
+        doc["sweep"] = {"variable": "num_ports", "values": [4], "schemes": ["proposed"]}
+        return doc
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_leader_gets_the_largest_residual_that_fits(self, tmp_path, command):
+        path = write_doc(tmp_path, self.doc())
+        result = subprocess.run(
+            [sys.executable, "-m", "fluidrelay", command, path], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        # Both commands solve trial 0 on the 4x4 grid; the CSV rounds, so check the same solve in process.
+        scenario = build_scenario(load_scenario(path))
+        gammas = draw_gamma_ur(scenario.users, scenario.grid, TrialDraws(scenario.seed, 1, len(scenario.users)))
+        solved = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
+        assert result.stdout.splitlines()[-1].split(",")[-2] == cli._fmt(solved.sum_rate[0])
+        assert leader_residual_is_tight(solved.bandwidth[0], solved.snr[0], self.RATE_MINS, scenario.total_bw)
 
 
 class TestSweep:

@@ -381,6 +381,19 @@ class TestSharedDraws:
         assert "INFEASIBLE_POWER" in {r.reason for r in records}
         assert _bits(records) == _bits(run_benchmark_per_trial(scenario, RANDOM_POWER, scenario.seed))
 
+    @pytest.mark.parametrize("ports", [1, 2])
+    def test_random_power_overflowing_need_matches_per_trial_oracle(self, ports):
+        # The draws above, but user 1's 5e-324 W cap gives it an SNR so small that its
+        # minimum slice overflows: every trial that meets C_th is INFEASIBLE_BANDWIDTH.
+        spec = load_scenario(DEFAULT_SCENARIO)
+        users = [replace(u, p_relay_max=1e-3, p_user_min=0.0, p_relay_min=0.0) for u in spec.users]
+        users[1] = replace(users[1], p_user_max=5e-324)
+        grid = replace(spec.grid, n1=ports, n2=ports)
+        scenario = build_scenario(replace(spec, xi=4.0, trials=10, grid=grid, users=tuple(users)))
+        records = run_benchmark(scenario, RANDOM_POWER, scenario.seed)
+        assert {r.reason for r in records} == {"INFEASIBLE_POWER", "INFEASIBLE_BANDWIDTH"}
+        assert _bits(records) == _bits(run_benchmark_per_trial(scenario, RANDOM_POWER, scenario.seed))
+
     @pytest.mark.parametrize(
         "variable, values, schemes",
         [

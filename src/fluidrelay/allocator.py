@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
+from .domain import check
+from .errors import InfeasibleError
 from .outage import LinkBudget, Selection, _df_region_touches, _selections, mean_snr_sum, scheme_region, snr_threshold
 
 
@@ -53,18 +54,13 @@ class UserConfig:
     rate_min: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(p) and p > 0 for p in (self.p_user_max, self.p_relay_max)):
-            raise ValueError("maximum powers must be finite and strictly positive")
-        if not 0 <= self.p_user_min <= self.p_user_max:
-            raise ValueError(
-                f"need 0 <= p_user_min <= p_user_max, got {self.p_user_min} vs {self.p_user_max}"
-            )
-        if not 0 <= self.p_relay_min <= self.p_relay_max:
-            raise ValueError(
-                f"need 0 <= p_relay_min <= p_relay_max, got {self.p_relay_min} vs {self.p_relay_max}"
-            )
-        if not (math.isfinite(self.rate_min) and self.rate_min >= 0):
-            raise ValueError(f"rate_min must be finite and nonnegative, got {self.rate_min}")
+        check("power_w", self.p_user_max, "p_user_max")
+        check("power_w", self.p_relay_max, "p_relay_max")
+        if check("min_power_w", self.p_user_min, "p_user_min") > self.p_user_max:
+            raise ValueError(f"need p_user_min <= p_user_max, got {self.p_user_min} vs {self.p_user_max}")
+        if check("min_power_w", self.p_relay_min, "p_relay_min") > self.p_relay_max:
+            raise ValueError(f"need p_relay_min <= p_relay_max, got {self.p_relay_min} vs {self.p_relay_max}")
+        check("rate_min_bps", self.rate_min, "rate_min")
 
 
 @dataclass(frozen=True)
@@ -132,14 +128,8 @@ def snr_df(p_user, p_relay, s: SnrTriple):
 
 
 def scheme_snr(scheme, p_user, p_relay, s: SnrTriple):
-    """End-to-end SNR of ``scheme`` (AF, else DF), elementwise over arrays of :class:`Selection`.
-
-    Huge powers or gains overflow to inf or NaN without a numpy warning:
-    every caller passes the result to :func:`check_finite_snrs`, whose
-    error names the user.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
+    """End-to-end SNR of ``scheme`` (AF, else DF), elementwise over arrays of :class:`Selection`."""
+    return np.where(scheme == Selection.AF, snr_af(p_user, p_relay, s), snr_df(p_user, p_relay, s))
 
 
 def _rate_scale(snr):
@@ -187,15 +177,13 @@ def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_use
     """A user's :class:`UserConfig`; a minimum power not given is the smallest passing :func:`optimize_powers`'s guard.
 
     Neither given: the least scaling ``t * (p_user_max, p_relay_max)``, ``t`` in [0, 1]; one given: the least
-    other power in [0, its cap], 0 when the given one alone passes.  Unless both are given, a non-finite mean
-    SNR sum at maximum powers raises ValueError, and a box that cannot reach C_th InfeasibleError.
+    other power in [0, its cap], 0 when the given one alone passes.  Unless both are given, a box that cannot
+    reach C_th raises InfeasibleError.
     """
     if p_user_min is not None and p_relay_min is not None:
         return UserConfig(budget, p_user_max, p_relay_max, p_user_min, p_relay_min, rate_min)
     gub, grb = budget.gamma_bar_ub, budget.gamma_bar_rb
-    full_sum = _require_reach("even maximum powers", p_user_max, p_relay_max, gub, grb, c_th)
-    if not math.isfinite(full_sum):
-        raise ValueError(f"maximum powers give a non-finite mean SNR sum {full_sum}")
+    _require_reach("even maximum powers", p_user_max, p_relay_max, gub, grb, c_th)
     # corner(x) is the power pair at search point x in [0, cap]; cap's pair reaches C_th.
     if p_user_min is None and p_relay_min is None:
         corner, cap = (lambda t: (t * p_user_max, t * p_relay_max)), 1.0
@@ -227,7 +215,6 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     on ``gur``, so an array of ``gur`` is solved in one pass.
 
     Returns ``(p_user, p_relay, snr_df)``, floats or arrays shaped like ``gur``.
-    Raises NumericalError when ``C^2 + C`` overflows (C above about 1.3e154).
     """
     gub, grb = s.gamma_ub, s.gamma_rb
     shape = np.shape(s.gamma_ur)
@@ -235,10 +222,6 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     if gub <= 0:
         raise ValueError("DF subproblem requires a positive mean user->BS SNR")
     bound = c_th * c_th + c_th
-    if not math.isfinite(bound):
-        raise NumericalError(
-            f"SNR threshold {c_th:.6g} overflows the DF subproblem: the rate threshold is too large"
-        )
     u_lo, u_hi = cfg.p_user_min, cfg.p_user_max
     r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
     if not _df_region_touches(u_lo, r_lo, c_th, gub, grb):
@@ -256,21 +239,17 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
         # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard).
         r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
         relay[2] = relay_at_cap(u_hi)
-        # A tiny gub or grb can take a quotient past the double range: +-inf
-        # clips to where the exact value would, and a 0/0 NaN never wins.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            relay[1] = u_hi * (gur - gub) / grb
-            # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
-            disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
-            relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
+        relay[1] = u_hi * (gur - gub) / grb
+        # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
+        disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
+        relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
         relay[4] = r_top
         np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
     # Every candidate is <= r_top, so the cap is >= u_lo; the max only undoes
     # rounding in user_cap(relay_at_cap(u_lo)), which can land an ulp below u_lo.
     user = np.minimum(u_hi, np.maximum(u_lo, user_cap(relay)))
     value = np.minimum(user * gub + relay * grb, user * gur)
-    # Near C_th ~ 1e154, 4*bound overflows and the crossing is inf/inf; a NaN never wins.
-    best = np.argmax(np.where(np.isnan(value), -np.inf, value), axis=0), np.arange(gur.size)
+    best = np.argmax(value, axis=0), np.arange(gur.size)
     best_user, best_relay, best_value = (a[best].reshape(shape) for a in (user, relay, value))
     if not shape:
         return float(best_user), float(best_relay), float(best_value)
@@ -306,24 +285,12 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
         df = np.full(shape, False)
     else:
         df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing AF SNR keeps AF
-            df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
+        df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
         p_user = np.where(df, df_user, p_user)
         p_relay = np.where(df, df_relay, p_relay)
     if not shape:
         return float(p_user), float(p_relay), _selections(df)
     return p_user, p_relay, _selections(df)
-
-
-def check_finite_snrs(snrs: np.ndarray, link: str = "end-to-end") -> None:
-    """Raise NumericalError, naming the user and trial, unless every ``(T, K)`` ``link`` SNR is finite."""
-    bad = ~np.isfinite(snrs)
-    if bad.any():
-        trial, user = np.argwhere(bad)[0]
-        raise NumericalError(
-            f"user {user} has a non-finite {link} SNR {snrs[trial, user]} in trial {trial}; "
-            "its power caps or link gains are too large"
-        )
 
 
 def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarray, list]:
@@ -340,22 +307,18 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
         raise ValueError("snrs must be (T, K) and rate_mins (K,)")
     if total_bw <= 0:
         raise ValueError("total bandwidth must be positive")
-    if np.any(snrs < 0):
-        raise ValueError("SNRs must be nonnegative")
-    check_finite_snrs(snrs)
+    if not np.all((snrs >= 0) & (snrs < np.inf)):
+        raise ValueError("SNRs must be finite and nonnegative")
     floored = rate_mins > 0
     dead = (snrs == 0) & floored  # zero SNR cannot meet a positive minimum rate
     scale = _rate_scale(snrs)
     live = floored & ~dead
-    with np.errstate(over="ignore"):  # a slice past the largest double is inf, and so is its row's sum
-        need = np.divide(2.0 * rate_mins, scale, out=np.zeros_like(snrs), where=live)
-        # Nudge each slice up until its realized rate meets the minimum exactly.
-        short = live & (0.5 * need * scale < rate_mins)
-        while short.any():
-            need[short] = np.nextafter(need[short], np.inf)
-            short &= 0.5 * need * scale < rate_mins
-        unbounded = np.isinf(need.sum(axis=1))
-    need[unbounded] = 0.0  # no budget holds these rows, which are infeasible below
+    need = np.divide(2.0 * rate_mins, scale, out=np.zeros_like(snrs), where=live)
+    # Nudge each slice up until its realized rate meets the minimum exactly.
+    short = live & (0.5 * need * scale < rate_mins)
+    while short.any():
+        need[short] = np.nextafter(need[short], np.inf)
+        short &= 0.5 * need * scale < rate_mins
 
     rows = np.arange(len(snrs))
     leader = np.argmax(snrs, axis=1)
@@ -376,11 +339,9 @@ def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarra
         residual[t] = bandwidth[t, leader[t]] = np.nextafter(_smallest_passing(overshoots, residual[t]), -np.inf)
 
     errors = [None] * len(snrs)
-    for t in np.flatnonzero(dead.any(axis=1) | unbounded | ~(residual >= leader_need)):
+    for t in np.flatnonzero(dead.any(axis=1) | ~(residual >= leader_need)):
         if dead[t].any():
             detail = f"user {np.argmax(dead[t])} has zero SNR but a positive minimum rate"
-        elif unbounded[t]:
-            detail = f"the minimum rates need more than {np.finfo(float).max:.6g} Hz of bandwidth"
         else:
             detail = (
                 f"residual bandwidth {residual[t]:.6g} Hz cannot cover the leader's minimum "
@@ -397,8 +358,8 @@ def allocate_bandwidth(snrs, rate_mins, total_bw: float) -> np.ndarray:
     Every user other than the SNR leader gets exactly the bandwidth its
     minimum rate requires; the leader (argmax SNR, smallest index on
     ties) absorbs the rest.  Raises INFEASIBLE_BANDWIDTH when the
-    residual cannot cover the leader's own minimum, and NumericalError
-    when an SNR is not finite.
+    residual cannot cover the leader's own minimum, and ValueError when
+    an SNR is negative or not finite.
 
     ``sum(b) <= total_bw`` and ``half_duplex_rate(b, snr) >= rate_min`` hold as
     exact floating-point inequalities: slices rise by ulps to meet their minimums,
@@ -427,8 +388,7 @@ def solve_system(users, total_bw: float, xi: float, gamma_ur_values) -> TrialAll
     ``gamma_ur_values`` is ``(T, K)``: each trial's instantaneous
     user->relay normalized SNR of every user (best-port gain folded in);
     UB/RB links use the mean SNRs from each budget.  Infeasible trials are
-    marked in ``errors``, never raised; a non-finite end-to-end SNR raises
-    NumericalError.
+    marked in ``errors``, never raised.
     """
     users = list(users)
     if not users:

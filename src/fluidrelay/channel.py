@@ -16,11 +16,11 @@ downstream is ``best_gain_sq = max_l |h_l|^2``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import check
 from .errors import NumericalError
 
 # Diagonal jitter ladder used when the Bessel kernel comes out numerically
@@ -46,9 +46,8 @@ class PortGrid:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"port counts must be >= 1, got {self.n1} x {self.n2}")
-        # The kernel's argument 2*pi*d stays finite, with a factor of two to spare for rounding.
-        if not (self.w1 >= 0 and self.w2 >= 0 and math.isfinite(4.0 * math.pi * math.hypot(self.w1, self.w2))):
-            raise ValueError(f"aperture lengths must be >= 0 with 4*pi*hypot(w1, w2) finite, got {self.w1} x {self.w2}")
+        check("aperture_wl", self.w1, "w1")
+        check("aperture_wl", self.w2, "w2")
 
     @property
     def num_ports(self) -> int:

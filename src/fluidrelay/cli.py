@@ -15,7 +15,6 @@ made), 3 numerical error, 4 validation failure, 5 infeasible.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -24,6 +23,7 @@ import numpy as np
 
 from .allocator import solve_system
 from .channel import build_correlation
+from .domain import check
 from .errors import InfeasibleError, NumericalError
 from .mvncdf import DEFAULT_MAX_SAMPLES, DEFAULT_TARGET_ABS_ERROR
 from .harness import (
@@ -90,26 +90,20 @@ def _emit(header, rows, out_path: str | None) -> None:
 
 
 def cmd_op_surface(args) -> int:
+    # The flags are checked against the domain before any work.
+    if args.xi is not None:
+        check("xi_bits", args.xi, "--xi")
+    for flag, power_range in (("--pu-range", args.pu_range), ("--pr-range", args.pr_range)):
+        if power_range and check("min_power_w", power_range[0], flag) > check("min_power_w", power_range[1], flag):
+            raise ValueError(f"{flag}: LO must not exceed HI, got {power_range[0]} > {power_range[1]}")
     spec = load_scenario(args.scenario)
     config = CopulaConfig(args.target_error, args.max_samples, spec.seed)  # checked before any work
     scenario_xi = args.xi if args.xi is not None else spec.xi
     c_th = snr_threshold(scenario_xi)
     corr = build_correlation(spec.grid)
     budget = spec.users[0].budget
-
-    def default_range(mean_snr: float) -> tuple[float, float]:
-        hi = 3.0 * c_th / mean_snr
-        if not math.isfinite(hi):
-            raise ValueError(
-                f"default power range 3*C_th/mean-SNR overflows at xi={scenario_xi}; "
-                "pass --pu-range and --pr-range"
-            )
-        return 0.0, hi
-
-    pu_lo, pu_hi = args.pu_range if args.pu_range else default_range(budget.gamma_bar_ub)
-    pr_lo, pr_hi = args.pr_range if args.pr_range else default_range(budget.gamma_bar_rb)
-    if pu_hi < pu_lo or pr_hi < pr_lo or pu_lo < 0 or pr_lo < 0:
-        raise ValueError("power ranges must satisfy 0 <= lo <= hi")
+    pu_lo, pu_hi = args.pu_range or (0.0, 3.0 * c_th / budget.gamma_bar_ub)
+    pr_lo, pr_hi = args.pr_range or (0.0, 3.0 * c_th / budget.gamma_bar_rb)
     points = op_surface(
         np.linspace(pu_lo, pu_hi, args.steps),
         np.linspace(pr_lo, pr_hi, args.steps),

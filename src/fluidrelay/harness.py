@@ -31,7 +31,6 @@ from .allocator import (
     SnrTriple,
     UserConfig,
     allocate_bandwidth_rows,
-    check_finite_snrs,
     half_duplex_rate,
     optimize_powers,
     power_box,
@@ -42,6 +41,7 @@ from .allocator import (
     sum_over_users,
 )
 from .channel import CorrelationMatrix, PortGrid, best_gain_sq, build_correlation, sample_gains
+from .domain import check
 from .errors import InfeasibleError
 from .outage import (
     LinkBudget,
@@ -94,8 +94,7 @@ class Scenario:
     def __post_init__(self):
         if not self.users:
             raise ValueError("scenario requires at least one user")
-        if self.total_bw <= 0:
-            raise ValueError("total bandwidth must be positive")
+        check("total_bw_hz", self.total_bw, "total_bw")
         snr_threshold(self.xi)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -111,10 +110,10 @@ class Scenario:
 def _check_sweep_value(variable: str, value) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{variable} sweep value {value!r} must be finite")
-    if variable in ("num_users", "num_ports") and (value != int(value) or value < 1):
+    if variable == "relay_power_max":
+        check("power_w", value, f"relay_power_max sweep value {value!r}")
+    elif value != int(value) or value < 1:
         raise ValueError(f"{variable} sweep value {value!r} must be a positive integer")
-    if variable == "relay_power_max" and value <= 0:
-        raise ValueError(f"relay_power_max sweep value {value!r} must be positive")
 
 
 @dataclass(frozen=True)
@@ -354,10 +353,7 @@ class TrialDraws:
 def draw_gamma_ur(users, grid: PortGrid, draws: TrialDraws) -> np.ndarray:
     """``(T, K)`` instantaneous user->relay normalized SNRs on ``grid``, one column per user."""
     gains = draws.best_gains(grid)[:, : len(users)]
-    with np.errstate(over="ignore"):  # an SNR past the largest double is inf, reported below
-        gamma_ur = [user.budget.alpha_ur for user in users] * gains / [user.budget.sigma2_relay for user in users]
-    check_finite_snrs(gamma_ur, "user->relay")
-    return gamma_ur
+    return [user.budget.alpha_ur for user in users] * gains / [user.budget.sigma2_relay for user in users]
 
 
 def _solve_average_bandwidth(users, total_bw, c_th, gammas):
@@ -370,7 +366,6 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas):
         except InfeasibleError as err:  # a power box fails whatever the channel
             return np.zeros(len(gammas)), (err.reason,) * len(gammas)
         snr[:, k] = scheme_snr(scheme, pu, pr, triple)
-    check_finite_snrs(snr)
     rate = half_duplex_rate(total_bw / len(users), snr)
     short = np.any(rate < [u.rate_min for u in users], axis=1)
     reasons = tuple("INFEASIBLE_BANDWIDTH" if s else "" for s in short)

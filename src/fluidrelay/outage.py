@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import CorrelationMatrix
+from .domain import check
 from .errors import InfeasibleError
 from .mvncdf import (
     DEFAULT_MAX_SAMPLES,
@@ -59,14 +60,8 @@ _MARGINAL_HI = 1.0 - 1e-12
 
 
 def snr_threshold(xi: float) -> float:
-    """SNR threshold ``2^(2*xi) - 1`` of the half-duplex rate threshold ``xi``.
-
-    Raises ValueError unless ``0 < xi < 512`` (which rejects NaN and inf);
-    from ``xi = 512`` on, ``2^(2*xi)`` overflows a double.
-    """
-    if not 0 < xi < 512.0:
-        raise ValueError(f"rate threshold xi must lie in (0, 512), got {xi}")
-    return 2.0 ** (2.0 * xi) - 1.0
+    """SNR threshold ``2^(2*xi) - 1`` of the half-duplex rate threshold ``xi``; ValueError outside the domain."""
+    return 2.0 ** (2.0 * check("xi_bits", xi, "xi")) - 1.0
 
 
 class Selection(str, enum.Enum):
@@ -91,10 +86,10 @@ class LinkBudget:
     sigma2_bs: float
 
     def __post_init__(self):
-        for name in ("alpha_ur", "alpha_ub", "alpha_rb", "sigma2_relay", "sigma2_bs"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
+        for name in ("alpha_ur", "alpha_ub", "alpha_rb"):
+            check("gain", getattr(self, name), name)
+        for name in ("sigma2_relay", "sigma2_bs"):
+            check("noise_w", getattr(self, name), name)
 
     @property
     def gamma_bar_ub(self) -> float:
@@ -158,7 +153,7 @@ def af_df_boundary(relay_snr: float, c_th: float) -> float:
     """Direct mean SNR ``a`` at which AF and DF outage tie, at relay mean SNR ``b``.
 
     AF minimizes outage iff ``a`` reaches it (ties go to AF): ``xi_af <= xi_df``
-    is ``(C+1)*a + a*b >= C^2 + C``, solved for ``a`` so nothing overflows near xi = 512.
+    is ``(C+1)*a + a*b >= C^2 + C``, solved for ``a``.
     """
     return c_th * ((c_th + 1.0) / (c_th + 1.0 + relay_snr))
 
@@ -179,33 +174,16 @@ def xi_af(q: OutageQuery, lb: LinkBudget) -> float:
             "INFEASIBLE_POWER",
             f"mean SNR sum {total:.6g} does not exceed threshold {c_th:.6g}",
         )
-    direct = q.p_user * lb.gamma_bar_ub
     relay_term = q.p_relay * lb.gamma_bar_rb + 1.0
-    shortfall = c_th - direct
-    denominator = lb.alpha_ur * q.p_user * margin  # 0 when it underflows: take the limit below
-    value = lb.sigma2_relay * relay_term * shortfall / denominator if denominator else math.inf
-    if math.isfinite(value):
-        return value
-    scale = lb.sigma2_relay / lb.alpha_ur
-    if math.isinf(direct):
-        # shortfall / margin -> -1 as the direct mean SNR grows.
-        return -scale * (relay_term / q.p_user)
-    if math.isinf(relay_term):
-        # relay_term / margin -> 1 as the relay's mean SNR grows.
-        return scale * (shortfall / q.p_user)
-    # Both products overflow when C_th is huge (xi near 512); the same
-    # ratio grouped factor by factor stays in range.
-    return scale * (relay_term / q.p_user) * (shortfall / margin)
+    shortfall = c_th - q.p_user * lb.gamma_bar_ub
+    return lb.sigma2_relay * relay_term * shortfall / (lb.alpha_ur * q.p_user * margin)
 
 
 def xi_df(q: OutageQuery, lb: LinkBudget) -> float:
     """Best-port-gain threshold whose crossing means DF outage (always > 0)."""
     if q.p_user <= 0:
         raise ValueError("xi_df requires p_user > 0")
-    denominator = lb.alpha_ur * q.p_user
-    if not denominator:  # underflow
-        return lb.sigma2_relay / lb.alpha_ur * (q.c_th / q.p_user)
-    return lb.sigma2_relay * q.c_th / denominator
+    return lb.sigma2_relay * q.c_th / (lb.alpha_ur * q.p_user)
 
 
 # Indexed by a DF flag; an object array keeps the members (numpy would turn

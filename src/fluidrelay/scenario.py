@@ -14,7 +14,8 @@ The schema (see the README for a field reference):
     }
 
 Unknown keys anywhere are rejected with the offending path so typos in
-physical parameters cannot pass silently.  dBm fields convert to watts as
+physical parameters cannot pass silently, and so is every number outside
+its row of ``domain.BOUNDS``.  dBm fields convert to watts as
 10**((dBm - 30)/10).  Absent minimum powers are derived lazily, by
 ``allocator.power_box`` in :func:`build_scenario` (commands that never
 touch power boxes still work on power-infeasible scenarios).
@@ -23,26 +24,13 @@ touch power boxes still work on power-infeasible scenarios).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 from .allocator import power_box
 from .channel import PortGrid
+from .domain import check, dbm_to_watts
 from .harness import SCHEMES, Scenario, SweepSpec
 from .outage import LinkBudget, snr_threshold
-
-# A rate is at most 512 bit/s per Hz (half of log2 of the largest double),
-# so below this bound every rate, per-trial sum rate and squared deviation
-# in a sweep's standard error stays finite, whatever the trial count.
-MAX_TOTAL_BW_HZ = 1e100
-
-
-def dbm_to_watts(dbm: float) -> float:
-    try:
-        return 10.0 ** ((dbm - 30.0) / 10.0)
-    except OverflowError:  # above about 3112 dBm; LinkBudget rejects it
-        return math.inf
-
 
 @dataclass(frozen=True)
 class UserSpec:
@@ -79,20 +67,14 @@ def _reject_unknown(obj: dict, path: str, allowed) -> None:
         raise ValueError(f"unknown key: {path}{unknown[0]}")
 
 
-def _get_number(obj: dict, path: str, key: str, *, positive=False, nonnegative=False) -> float:
+def _get_number(obj: dict, path: str, key: str, row: str) -> float:
+    """The number at ``key``, checked against the domain's ``row``."""
     if key not in obj:
         raise ValueError(f"missing key: {path}{key}")
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path}{key}: expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{path}{key}: must be finite")
-    if positive and value <= 0:
-        raise ValueError(f"{path}{key}: must be strictly positive")
-    if nonnegative and value < 0:
-        raise ValueError(f"{path}{key}: must be nonnegative")
-    return value
+    return float(check(row, value, f"{path}{key}"))
 
 
 def _get_int(obj: dict, path: str, key: str, *, minimum: int) -> int:
@@ -125,28 +107,28 @@ def _parse_user(obj, path: str) -> UserSpec:
         ),
     )
     budget = LinkBudget(
-        alpha_ur=_get_number(obj, path, "alpha_ur", positive=True),
-        alpha_ub=_get_number(obj, path, "alpha_ub", positive=True),
-        alpha_rb=_get_number(obj, path, "alpha_rb", positive=True),
-        sigma2_relay=dbm_to_watts(_get_number(obj, path, "sigma2_relay_dbm")),
-        sigma2_bs=dbm_to_watts(_get_number(obj, path, "sigma2_bs_dbm")),
+        alpha_ur=_get_number(obj, path, "alpha_ur", "gain"),
+        alpha_ub=_get_number(obj, path, "alpha_ub", "gain"),
+        alpha_rb=_get_number(obj, path, "alpha_rb", "gain"),
+        sigma2_relay=dbm_to_watts(_get_number(obj, path, "sigma2_relay_dbm", "noise_dbm")),
+        sigma2_bs=dbm_to_watts(_get_number(obj, path, "sigma2_bs_dbm", "noise_dbm")),
     )
-    p_user_max = _get_number(obj, path, "p_user_max_w", positive=True)
-    p_relay_max = _get_number(obj, path, "p_relay_max_w", positive=True)
+    p_user_max = _get_number(obj, path, "p_user_max_w", "power_w")
+    p_relay_max = _get_number(obj, path, "p_relay_max_w", "power_w")
     p_user_min = p_relay_min = None
     if "p_user_min_w" in obj:
-        p_user_min = _get_number(obj, path, "p_user_min_w", nonnegative=True)
+        p_user_min = _get_number(obj, path, "p_user_min_w", "min_power_w")
         if p_user_min > p_user_max:
             raise ValueError(f"{path}p_user_min_w: must not exceed p_user_max_w")
     if "p_relay_min_w" in obj:
-        p_relay_min = _get_number(obj, path, "p_relay_min_w", nonnegative=True)
+        p_relay_min = _get_number(obj, path, "p_relay_min_w", "min_power_w")
         if p_relay_min > p_relay_max:
             raise ValueError(f"{path}p_relay_min_w: must not exceed p_relay_max_w")
     return UserSpec(
         budget=budget,
         p_user_max=p_user_max,
         p_relay_max=p_relay_max,
-        rate_min=_get_number(obj, path, "rate_min_bps", nonnegative=True),
+        rate_min=_get_number(obj, path, "rate_min_bps", "rate_min_bps"),
         p_user_min=p_user_min,
         p_relay_min=p_relay_min,
     )
@@ -186,16 +168,14 @@ def parse_scenario(doc, source: str = "scenario") -> ScenarioSpec:
     grid = PortGrid(
         n1=_get_int(grid_obj, "grid.", "n1", minimum=1),
         n2=_get_int(grid_obj, "grid.", "n2", minimum=1),
-        w1=_get_number(grid_obj, "grid.", "w1", nonnegative=True),
-        w2=_get_number(grid_obj, "grid.", "w2", nonnegative=True),
+        w1=_get_number(grid_obj, "grid.", "w1", "aperture_wl"),
+        w2=_get_number(grid_obj, "grid.", "w2", "aperture_wl"),
     )
 
     system = _expect_mapping(doc["system"], "system")
     _reject_unknown(system, "system.", ("total_bw_hz", "xi_bits", "seed", "trials"))
-    total_bw = _get_number(system, "system.", "total_bw_hz", positive=True)
-    if total_bw > MAX_TOTAL_BW_HZ:
-        raise ValueError(f"system.total_bw_hz: must not exceed {MAX_TOTAL_BW_HZ:g}")
-    xi = _get_number(system, "system.", "xi_bits", positive=True)
+    total_bw = _get_number(system, "system.", "total_bw_hz", "total_bw_hz")
+    xi = _get_number(system, "system.", "xi_bits", "xi_bits")
     seed = _get_int(system, "system.", "seed", minimum=0)
     trials = _get_int(system, "system.", "trials", minimum=1)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fluidrelay import (
     InfeasibleError,
     LinkBudget,
-    NumericalError,
     Selection,
     SnrTriple,
     TrialAllocations,
@@ -121,6 +120,22 @@ class TestUserConfig:
         fields = dict(budget=unit_budget(), p_user_max=1.0, p_relay_max=1.0, rate_min=0.0)
         with pytest.raises(ValueError):
             UserConfig(**dict(fields, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, edge, outside",
+        [
+            ("p_user_max", 1e-30, math.nextafter(1e-30, 0)),
+            ("p_relay_max", 1e6, math.nextafter(1e6, math.inf)),
+            ("p_user_min", 1e-80, math.nextafter(1e-80, 0)),
+            ("rate_min", 1e13, math.nextafter(1e13, math.inf)),
+            ("rate_min", 1e-3, 5e-324),
+        ],
+    )
+    def test_domain_edges(self, field, edge, outside):
+        fields = dict(budget=unit_budget(), p_user_max=1e6, p_relay_max=1e6, rate_min=0.0)
+        assert getattr(UserConfig(**dict(fields, **{field: edge})), field) == edge
+        with pytest.raises(ValueError, match=f"{field}: must be"):
+            UserConfig(**dict(fields, **{field: outside}))
 
 
 class TestAllocateBandwidth:
@@ -280,8 +295,18 @@ class TestDeriveMinPowers:
         assert pr == pytest.approx(0.5)
 
     def test_non_finite_sum_at_max_powers_rejected(self):
-        with pytest.raises(ValueError, match="non-finite mean SNR sum"):
+        # A sum at maximum powers overflowed only for gains or caps beyond the domain.
+        with pytest.raises(ValueError, match="alpha_ub: must be in"):
             derive_min_powers(unit_budget(1e300, 1.0), 1e10, 1.0, 1.0)
+        with pytest.raises(ValueError, match="p_user_max: must be in"):
+            derive_min_powers(unit_budget(1e10, 1.0), 1e10, 1.0, 1.0)
+        # The domain's largest sum, 2e36, with its smallest C_th: the corner is
+        # about 7e-43 of the caps, down to 7e-73 W, a normal double.
+        edge = LinkBudget(alpha_ur=1.0, alpha_ub=1e10, alpha_rb=1e10, sigma2_relay=1.0, sigma2_bs=1e-20)
+        for p_user_max, p_relay_max in ((1e6, 1e6), (1e-30, 1e6)):
+            pu, pr = derive_min_powers(edge, p_user_max, p_relay_max, snr_threshold(1e-6))
+            assert 6.9e-73 <= pu and 6.9e-73 <= pr
+            assert mean_snr_sum(pu, pr, edge.gamma_bar_ub, edge.gamma_bar_rb) >= snr_threshold(1e-6)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -549,26 +574,33 @@ class TestArraysOverTrials:
         assert type(p_user) is float and type(p_relay) is float and isinstance(scheme, Selection)
 
     def test_nan_crossing_never_wins(self):
-        # At C_th = 8e153, 4*(C_th**2 + C_th) overflows and the crossing is inf/inf.
-        c_th = 8e153
+        # The crossing was inf/inf (NaN) only where 4*(C_th**2 + C_th) overflows, past C_th ~ 4e153,
+        # which the domain rejects.  At its largest C_th (xi = 32) every candidate is a number.
+        with pytest.raises(ValueError, match="xi: must be in"):
+            snr_threshold(256.0)
+        c_th = snr_threshold(32.0)
         gub, grb = 0.5 * c_th, 1.5 * c_th
-        cfg = UserConfig(unit_budget(gub, grb), 1.0, 1.0, 0.5, 0.8 / 1.5, 0.0)
+        cfg = UserConfig(unit_budget(), 1.0, 1.0, 0.5, 0.8 / 1.5, 0.0)
         fan = SnrTriple(gub, 1.5 * c_th * np.logspace(-0.5, 0.05, 9), grb)
-        with np.errstate(over="ignore", invalid="ignore"):
-            users, relays, values = solve_df_subproblem(cfg, fan, c_th)
-            p_user, p_relay, schemes = optimize_powers(cfg, fan, c_th)
+        users, relays, values = solve_df_subproblem(cfg, fan, c_th)
+        p_user, p_relay, schemes = optimize_powers(cfg, fan, c_th)
+        assert not np.isnan(values).any()
         for i, gamma_ur in enumerate(fan.gamma_ur):
             one = SnrTriple(gub, float(gamma_ur), grb)
             assert (users[i], relays[i], values[i]) == scalar_solve_df_subproblem(cfg, one, c_th)
             assert (p_user[i], p_relay[i], schemes[i]) == scalar_optimize_powers(cfg, one, c_th)
         assert (schemes == Selection.DF).sum() == 3
 
-    def test_overflowing_bound_is_numerical_error(self):
-        # C_th**2 overflows from C_th ~ 1.34e154 on (xi near 256 bits).
-        c_th = snr_threshold(300.0)
-        cfg = UserConfig(unit_budget(c_th, c_th), 1.0, 1.0, 0.5, 0.5, 0.0)
-        with pytest.raises(NumericalError, match="overflows the DF subproblem"):
-            solve_df_subproblem(cfg, SnrTriple(c_th, c_th, c_th), c_th)
+    def test_overflowing_bound_is_outside_the_domain(self):
+        # C_th**2 overflows from C_th ~ 1.34e154 on (xi near 256 bits), which snr_threshold rejects;
+        # at the domain's largest C_th the DF subproblem solves with a finite bound.
+        with pytest.raises(ValueError, match="xi: must be in"):
+            snr_threshold(300.0)
+        c_th = snr_threshold(32.0)
+        cfg = UserConfig(unit_budget(), 1.0, 1.0, 0.5, 0.5, 0.0)
+        p_user, p_relay, value = solve_df_subproblem(cfg, SnrTriple(c_th, c_th, c_th), c_th)
+        assert all(math.isfinite(x) for x in (p_user, p_relay, value))
+        assert mean_snr_sum(p_user, p_relay, c_th, c_th) >= c_th
 
     def test_negative_gamma_ur_in_array_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

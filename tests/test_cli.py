@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import fluidrelay.cli as cli
 from fluidrelay import scheme_region, solve_system
+from fluidrelay.domain import BOUNDS
 from fluidrelay.harness import SCHEMES, TrialDraws, draw_gamma_ur, run_benchmark
 from fluidrelay.outage import snr_threshold
 from fluidrelay.scenario import build_scenario, load_scenario
@@ -83,6 +84,17 @@ def run_cli(*args):
         except SystemExit as exit_:
             code = exit_.code or 0
     return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def finite_csv(text: str) -> bool:
+    """Whether every numeric cell of a CSV table (header row skipped) is finite."""
+    numbers = []
+    for cell in (cell for row in text.strip().split("\n")[1:] for cell in row.split(",")):
+        try:
+            numbers.append(float(cell))
+        except ValueError:  # a label, a scheme or an empty cell
+            pass
+    return all(math.isfinite(number) for number in numbers)
 
 
 def run_module(*args):
@@ -169,22 +181,60 @@ class TestOpSurface:
         path = write_doc(tmp_path, doc)
         result = run_cli(command, path, *flags)
         assert result.returncode == 2
-        assert "rate threshold xi must lie in (0, 512)" in result.stderr
-        assert "Traceback" not in result.stderr
+        named = "--xi" if flags else "system.xi_bits"
+        assert result.stderr == f"error: {named}: must be in [1e-06, 32] bit/s/Hz, got 600{'.0' if flags else ''}\n"
 
     def test_nan_xi_exit_2_names_xi(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
         result = run_cli("op-surface", path, "--xi", "nan")
         assert result.returncode == 2
-        assert "rate threshold xi must lie in (0, 512), got nan" in result.stderr
+        assert result.stderr == "error: --xi: must be in [1e-06, 32] bit/s/Hz, got nan\n"
+
+    @pytest.mark.parametrize("xi", [1e-300, 1e-17, 5e-7])
+    def test_tiny_xi_exit_2_names_it(self, tmp_path, xi):
+        # Below about 5.6e-17, C_th rounded to exactly 0 and the default range collapsed to
+        # [0, 0]: nine identical INFEASIBLE rows with exit 0.
+        doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
+        doc["system"]["xi_bits"] = xi
+        result = run_cli("op-surface", write_doc(tmp_path, doc), "--steps", "3")
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: system.xi_bits: must be in [1e-06, 32] bit/s/Hz")
+        result = run_cli("op-surface", DEFAULT_SCENARIO, "--steps", "3", "--xi", str(xi))
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: --xi: must be in [1e-06, 32] bit/s/Hz")
+
+    @pytest.mark.parametrize(
+        "flag, power_range",
+        [
+            ("--pu-range", ("0", "inf")),
+            ("--pr-range", ("nan", "1")),
+            ("--pu-range", ("-1", "1")),
+            ("--pr-range", ("1e-81", "1")),
+            ("--pu-range", ("0", "2e6")),
+        ],
+    )
+    def test_power_range_outside_the_domain_exit_2_without_warning(self, flag, power_range):
+        # "--pu-range 0 inf" printed numpy's RuntimeWarning from linspace before it exited 2.
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "fluidrelay", "op-surface", DEFAULT_SCENARIO,
+             flag, *power_range],
+            capture_output=True, text=True, timeout=_CLI_TIMEOUT_S,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith(f"error: {flag}: must be 0 or in [1e-80, 1e+06] W, got ")
+
+    def test_power_range_ends_out_of_order_exit_2(self):
+        result = run_cli("op-surface", DEFAULT_SCENARIO, "--pr-range", "0.2", "0.1")
+        assert result.returncode == 2
+        assert result.stderr == "error: --pr-range: LO must not exceed HI, got 0.2 > 0.1\n"
 
     def test_missing_file_exit_2(self):
         assert run_cli("op-surface", "/nonexistent/file.json").returncode == 2
 
     def test_huge_xi_gives_finite_map(self):
-        # C_th ~ 1e301 overflows the products inside the AF threshold.
+        # At the domain's largest xi, C_th = 2^64 - 1 and the default range reaches 2.8e16 W.
         result = run_cli(
-            "op-surface", DEFAULT_SCENARIO, "--xi", "500", "--target-error", "5e-3",
+            "op-surface", DEFAULT_SCENARIO, "--xi", "32", "--target-error", "5e-3",
             "--threads", "1",
         )
         assert result.returncode == 0, result.stderr
@@ -203,26 +253,36 @@ class TestOpSurface:
         return [row.split(",") for row in result.stdout.strip().split("\n")[1:]]
 
     def test_overflowing_relay_snr_takes_limit(self):
-        # p_r * gamma_rb overflows a double from p_r ~ 1.8e302 on.
-        rows = self.map_rows("--pu-range", "1e-5", "2e-5", "--pr-range", "1e306", "1e307")
-        finite = self.map_rows("--pu-range", "1e-5", "2e-5", "--pr-range", "1e290", "1e300")
-        assert [row[3:] for row in rows] == [row[3:] for row in finite]
+        # p_r * gamma_rb overflowed a double from p_r ~ 1.8e302 on; the range now stops at 1e6 W,
+        # where the relay's mean SNR (1e12) already takes AF's limit at every point.
+        result = run_cli("op-surface", DEFAULT_SCENARIO, "--steps", "2", "--pr-range", "1e306", "1e307")
+        assert result.returncode == 2 and result.stderr.startswith("error: --pr-range: must be 0 or in")
+        rows = self.map_rows("--pu-range", "1e-5", "2e-5", "--pr-range", "1e5", "1e6")
+        assert all(math.isfinite(float(value)) for row in rows for value in row[:5])
         assert {row[5] for row in rows} == {"AF"}
 
     def test_overflowing_user_snr_gives_zero_af(self):
-        rows = self.map_rows("--pu-range", "1e306", "1e307", "--pr-range", "1e-3", "2e-3")
+        result = run_cli("op-surface", DEFAULT_SCENARIO, "--steps", "2", "--pu-range", "1e306", "1e307")
+        assert result.returncode == 2 and result.stderr.startswith("error: --pu-range: must be 0 or in")
+        rows = self.map_rows("--pu-range", "1e5", "1e6", "--pr-range", "1e-3", "2e-3")
         assert len(rows) == 4
         assert all(row[3] == "0" and row[5] == "AF" for row in rows)
 
     def test_overflowing_default_range_exit_2(self, tmp_path):
+        # A direct mean SNR of 1e-9 per watt made 3*C_th/SNR overflow at xi = 500; its gain is now
+        # outside the domain.  At the domain's corner (1e-30 per watt, xi = 32) the default range
+        # reaches 5.5e49 W, past the cap bound, and is used as it is.
         doc = base_doc()
-        doc["users"][0]["alpha_ub"] = 1e-24  # mean SNR 1e-9 per watt: 3*C_th/SNR overflows
-        path = write_doc(tmp_path, doc)
-        result = run_module("op-surface", path, "--xi", "500")
+        doc["users"][0]["alpha_ub"] = 1e-26
+        result = run_module("op-surface", write_doc(tmp_path, doc), "--xi", "32")
         assert result.returncode == 2
-        assert "overflows at xi=500.0" in result.stderr
-        assert "--pu-range" in result.stderr and "--pr-range" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr == "error: users[0].alpha_ub: must be in [1e-25, 1e+10] (linear), got 1e-26\n"
+        doc["users"][0].update(alpha_ub=1e-25, sigma2_bs_dbm=80)
+        result = run_cli("op-surface", write_doc(tmp_path, doc), "--xi", "32", "--steps", "2", "--max-samples", "1200")
+        assert result.returncode == 0, result.stderr
+        rows = [[float(value) for value in row.split(",")[:5]] for row in result.stdout.strip().split("\n")[1:]]
+        assert all(math.isfinite(value) for row in rows for value in row)
+        assert max(row[0] for row in rows) == pytest.approx(3.0 * snr_threshold(32.0) / 1e-30, rel=1e-8)
 
     def test_max_samples_below_one_per_shift_exit_2(self, tmp_path):
         path = write_doc(tmp_path, base_doc())
@@ -448,18 +508,22 @@ class TestOptimize:
         )
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
-    def test_huge_power_cap_exit_3_names_user(self, tmp_path, command):
-        # Finite caps whose end-to-end SNR overflows printed nan rates with exit 0.
+    def test_huge_power_cap_exit_2_names_key(self, tmp_path, command):
+        # Finite caps whose end-to-end SNR overflowed printed nan rates with exit 0, then exited 3.
         doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
         for user in doc["users"]:
             user["p_user_max_w"] = 1e300
         out = tmp_path / "result.csv"
         result = run_cli(command, write_doc(tmp_path, doc), "--out", str(out))
-        assert result.returncode == 3
-        assert "error: user 0 has a non-finite end-to-end SNR inf" in result.stderr
-        assert "Traceback" not in result.stderr
-        assert "RuntimeWarning" not in result.stderr
+        assert result.returncode == 2
+        assert result.stderr == "error: users[0].p_user_max_w: must be in [1e-30, 1e+06] W, got 1e+300\n"
         assert not out.exists()
+        # The domain's largest caps give finite rates.
+        for user in doc["users"]:
+            user["p_user_max_w"] = user["p_relay_max_w"] = 1e6
+        result = run_cli(command, write_doc(tmp_path, doc), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        assert finite_csv(out.read_text())
 
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
@@ -469,30 +533,37 @@ class TestOptimize:
         doc["system"]["total_bw_hz"] = 1e308
         result = run_cli(command, write_doc(tmp_path, doc))
         assert result.returncode == 2
-        assert result.stderr == "error: system.total_bw_hz: must not exceed 1e+100\n"
+        assert result.stderr == "error: system.total_bw_hz: must be in [1, 1e+12] Hz, got 1e+308\n"
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
     def test_bandwidth_at_its_bound_gives_finite_rates(self, tmp_path, command):
         doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2]})
-        doc["system"]["total_bw_hz"] = 1e100
+        doc["system"]["total_bw_hz"] = 1e12
         result = run_cli(command, write_doc(tmp_path, doc))
         assert result.returncode == 0, result.stderr
         # The sum rate is the second-to-last field of optimize's summary row and of every sweep row.
         rows = result.stdout.strip().split("\n")[1:]
         rates = [float(row.split(",")[-2]) for row in (rows[-1:] if command == "optimize" else rows)]
-        assert all(math.isfinite(rate) for rate in rates) and max(rates) > 1e100
+        assert all(math.isfinite(rate) for rate in rates) and max(rates) > 1e12
 
     @pytest.mark.parametrize("command", ["optimize", "sweep"])
-    def test_huge_rate_threshold_exit_3(self, tmp_path, command):
-        # xi = 300 bits: C_th**2 overflows in the DF power solver (was a traceback).
+    def test_huge_rate_threshold_exit_2(self, tmp_path, command):
+        # xi = 300 bits: C_th**2 overflowed in the DF power solver, which exited 3.
         doc = json.loads(Path(DEFAULT_SCENARIO).read_text())
         doc["system"].update(xi_bits=300.0, trials=2)
         for user in doc["users"]:
-            user["p_user_max_w"] = user["p_relay_max_w"] = 1e178
+            user["p_user_max_w"] = user["p_relay_max_w"] = 1e6
         result = run_module(command, write_doc(tmp_path, doc))
-        assert result.returncode == 3
-        assert "overflows the DF subproblem" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.returncode == 2
+        assert result.stderr == "error: system.xi_bits: must be in [1e-06, 32] bit/s/Hz, got 300.0\n"
+        # At the domain's largest xi, relay links of 1e30 per watt reach C_th = 2^64 - 1 and the
+        # DF power solver runs on C_th**2 ~ 3.4e38.
+        doc["system"]["xi_bits"] = 32
+        for user in doc["users"]:
+            user.update(alpha_rb=1e10, sigma2_bs_dbm=-170)
+        result = run_cli(command, write_doc(tmp_path, doc))
+        assert result.returncode == 0, result.stderr
+        assert finite_csv(result.stdout)
 
 
 class TestTinyLeaderResidual:
@@ -640,9 +711,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("p_user_max", [5e-324, 1e-323])
     def test_random_power_zero_watt_draws_are_infeasible_rows(self, tmp_path, p_user_max):
-        # Under a 5e-324 W cap, user 1's random powers round to 0 W: they send nothing, and fail its minimum rate.
+        # Under a 5e-324 W cap, user 1's random powers rounded to 0 W; that cap is now outside the
+        # domain.  Under the smallest cap, 1e-30 W, they send so little that no row meets its minimum rate.
         doc = base_doc(sweep={"variable": "num_ports", "values": [1, 2], "schemes": ["random_power"]})
         doc["users"][1]["p_user_max_w"] = p_user_max
+        result = run_cli("sweep", write_doc(tmp_path, doc))
+        assert result.returncode == 2 and result.stderr.startswith("error: users[1].p_user_max_w: must be in")
+        doc["users"][1]["p_user_max_w"] = 1e-30
         result = run_cli("sweep", write_doc(tmp_path, doc))
         assert result.returncode == 0, result.stderr
         rows = [line.split(",") for line in result.stdout.strip().split("\n")[1:]]
@@ -732,6 +807,8 @@ _FUZZ_PATHS = (
 _FUZZ_VALUES = (
     _MISSING, "x", None, True, [], {}, math.nan, math.inf, -math.inf,
     0, -1, -1e300, 1e-300, 5e-324, 1e300, 10**30,
+    # Every edge of the physical domain.
+    *sorted({edge for bound in BOUNDS.values() for edge in (bound.lo, bound.hi)}),
 )
 _FUZZ_FLAGS = {
     "op-surface": ("--steps", "2", "--max-samples", "1200"),
@@ -776,6 +853,43 @@ def _scenario_docs(draw):
     return doc
 
 
+def _corner(row: str, typical):
+    """A value at either edge of a domain row (or 0 where the row takes it), or a typical one."""
+    bound = BOUNDS[row]
+    return st.sampled_from([bound.lo, typical, typical, bound.hi] + [0] * bound.zero)
+
+
+@st.composite
+def _corner_docs(draw):
+    """A scenario inside the domain with every physical key at an edge of its bound or at a typical value."""
+    variable, values = draw(
+        st.sampled_from([("num_ports", [1, 2]), ("num_users", [1, 2]), ("relay_power_max", [1e-30, 1e6])])
+    )
+    doc = base_doc(sweep={"variable": variable, "values": values, "schemes": list(SCHEMES)})
+    doc["grid"].update(w1=draw(_corner("aperture_wl", 1.0)), w2=draw(_corner("aperture_wl", 1.0)))
+    doc["system"].update(
+        total_bw_hz=draw(_corner("total_bw_hz", 5e6)), xi_bits=draw(_corner("xi_bits", 0.1)), trials=3
+    )
+    for user in doc["users"]:
+        user.update(
+            {key: draw(_corner("gain", 1e-9)) for key in ("alpha_ur", "alpha_ub", "alpha_rb")},
+            **{key: draw(_corner("noise_dbm", -120)) for key in ("sigma2_relay_dbm", "sigma2_bs_dbm")},
+            **{key: draw(_corner("power_w", 0.1)) for key in ("p_user_max_w", "p_relay_max_w")},
+            rate_min_bps=draw(_corner("rate_min_bps", 5e5)),
+        )
+        for key in ("p_user_min_w", "p_relay_min_w"):
+            cap = user[key.replace("min", "max")]
+            minimum = draw(st.sampled_from([None] * 4 + [0, BOUNDS["min_power_w"].lo, cap]))
+            if minimum is not None:
+                user[key] = minimum
+    return doc
+
+
+_CORNER_SURFACE_FLAGS = (
+    (), ("--xi", "1e-06"), ("--xi", "32"), ("--pu-range", "0", "1e-80", "--pr-range", "1e-80", "1e6"),
+)
+
+
 class TestScenarioFuzz:
     """Valid and mutated scenario documents through every command: an exit code, never a traceback."""
 
@@ -789,21 +903,44 @@ class TestScenarioFuzz:
     @pytest.mark.parametrize(
         "keys, value, code",
         [
-            (("users", 0, "alpha_rb"), 5e-324, 0),
-            (("users", 0, "rate_min_bps"), 1e308, 5),
-            (("users", 0, "p_user_max_w"), 5e-324, 5),
-            (("users", 0, "alpha_ur"), 1e308, 3),
+            (("users", 0, "alpha_rb"), 5e-324, 2),
+            (("users", 0, "rate_min_bps"), 1e308, 2),
+            (("users", 0, "p_user_max_w"), 5e-324, 2),
+            (("users", 0, "alpha_ur"), 1e308, 2),
             (("grid", "w1"), 1e308, 2),
+            # The same keys at the domain's nearest edge.
+            (("users", 0, "alpha_rb"), 1e-25, 0),
+            (("users", 0, "rate_min_bps"), 1e13, 5),
+            (("users", 0, "p_user_max_w"), 1e-30, 5),
+            (("users", 0, "alpha_ur"), 1e10, 0),
+            (("grid", "w1"), 1e6, 0),
         ],
     )
     def test_extreme_finite_input_exits_without_warning(self, keys, value, code):
-        # Each printed a numpy RuntimeWarning before its exit; the suite's filter makes one fail here.
+        # Each value outside the domain printed a numpy RuntimeWarning before exit 0, 5 or 3;
+        # the suite's filter makes one fail here.  Now each exits 2 naming its key.
         doc = base_doc()
         *path, key = keys
         _container(doc, path)[key] = value
         result = _run_doc(doc, "optimize")
         assert result.returncode == code, result.stderr
         assert code == 0 or result.stderr.startswith("error: ")
+        if code == 2:
+            named = "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in keys).lstrip(".")
+            assert result.stderr.startswith(f"error: {named}: must be ")
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(doc=_corner_docs(), surface_flags=st.sampled_from(_CORNER_SURFACE_FLAGS))
+    def test_domain_corners_run_every_command(self, doc, surface_flags):
+        # No RuntimeWarning (the suite's filter raises one), finite numbers, and no input error:
+        # exit 3 only where the port correlation cannot be factored.
+        for command, flags in _FUZZ_FLAGS.items():
+            if command == "op-surface":
+                flags += surface_flags
+            result = _run_doc(doc, command, *flags)
+            assert result.returncode in (0, 3, 4, 5), result.stderr
+            assert result.returncode != 3 or "correlation factorization failed" in result.stderr
+            assert finite_csv(result.stdout)
 
     def test_sweep_trial_count_beyond_int64_exit_2(self):
         doc = base_doc(sweep={"variable": "relay_power_max", "values": [0.05, 0.1]})

@@ -185,6 +185,15 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(users=(), grid=PortGrid(1, 1, 0, 0), total_bw=1e6, xi=0.1, seed=1, trials=1)
 
+    def test_bandwidth_bound_enforced(self):
+        # Only the parser used to bound the bandwidth: at 1e308 Hz a benchmark's rates overflowed.
+        scenario = random_scenario(2, seed=1, trials=3)
+        for total_bw in (1e308, math.nextafter(1e12, math.inf), 0.5):
+            with pytest.raises(ValueError, match="total_bw: must be in"):
+                replace(scenario, total_bw=total_bw)
+        records = run_benchmark(replace(scenario, total_bw=1e12), PROPOSED, 1)
+        assert all(math.isfinite(r.sum_rate) for r in records) and max(r.sum_rate for r in records) > 1e12
+
     def test_sweep_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(variable="bandwidth", values=(1, 2))
@@ -202,8 +211,10 @@ class TestScenario:
             ("num_ports", 1.5, "1.5 must be a positive integer"),
             ("num_users", 1.7, "1.7 must be a positive integer"),
             ("num_ports", 0, "0 must be a positive integer"),
-            ("relay_power_max", -1, "-1 must be positive"),
-            ("relay_power_max", 0.0, "0.0 must be positive"),
+            ("relay_power_max", -1, "-1: must be in"),
+            ("relay_power_max", 0.0, "0.0: must be in"),
+            ("relay_power_max", 1e-31, "1e-31: must be in"),
+            ("relay_power_max", 2e6, "2000000.0: must be in"),
         ],
     )
     def test_sweep_value_rejected_naming_it(self, variable, value, words):
@@ -383,12 +394,16 @@ class TestSharedDraws:
 
     @pytest.mark.parametrize("ports", [1, 2])
     def test_random_power_overflowing_need_matches_per_trial_oracle(self, ports):
-        # The draws above, but user 1's 5e-324 W cap gives it an SNR so small that its
-        # minimum slice overflows: every trial that meets C_th is INFEASIBLE_BANDWIDTH.
+        # The draws above, but user 1's cap at the domain's smallest, 1e-30 W, gives it an SNR so
+        # small that its minimum slice overflows the budget: every trial that meets C_th is
+        # INFEASIBLE_BANDWIDTH.  A 5e-324 W cap, whose slice overflowed a double, is rejected.
         spec = load_scenario(DEFAULT_SCENARIO)
         users = [replace(u, p_relay_max=1e-3, p_user_min=0.0, p_relay_min=0.0) for u in spec.users]
-        users[1] = replace(users[1], p_user_max=5e-324)
         grid = replace(spec.grid, n1=ports, n2=ports)
+        users[1] = replace(users[1], p_user_max=5e-324)
+        with pytest.raises(ValueError, match="p_user_max: must be in"):
+            build_scenario(replace(spec, xi=4.0, trials=10, grid=grid, users=tuple(users)))
+        users[1] = replace(users[1], p_user_max=1e-30)
         scenario = build_scenario(replace(spec, xi=4.0, trials=10, grid=grid, users=tuple(users)))
         records = run_benchmark(scenario, RANDOM_POWER, scenario.seed)
         assert {r.reason for r in records} == {"INFEASIBLE_POWER", "INFEASIBLE_BANDWIDTH"}

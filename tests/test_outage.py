@@ -27,6 +27,7 @@ from fluidrelay import (
     xi_df,
 )
 import fluidrelay.outage as outage
+from fluidrelay.domain import check
 from fluidrelay.harness import empirical_best_gain_cdf
 import fluidrelay.mvncdf as mvncdf
 from fluidrelay.mvncdf import MvnEstimate
@@ -99,10 +100,15 @@ class TestThresholds:
     def test_snr_threshold(self):
         assert snr_threshold(XI_HALF) == 1.0
         assert snr_threshold(0.1) == 2.0 ** 0.2 - 1.0
+        # The domain's edges.  Below about 5.6e-17, 2^(2*xi) rounded to 1 and C_th to exactly 0.
+        assert snr_threshold(1e-6) == pytest.approx(2e-6 * math.log(2.0), rel=1e-9)
+        assert snr_threshold(32.0) == 2.0**64 - 1.0
 
-    @pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf, 600.0])
+    @pytest.mark.parametrize(
+        "xi", [0.0, -1.0, math.nan, math.inf, 600.0, 1e-300, 1e-17, math.nextafter(1e-6, 0), math.nextafter(32.0, 40)]
+    )
     def test_snr_threshold_rejects_bad_xi(self, xi):
-        with pytest.raises(ValueError, match="xi"):
+        with pytest.raises(ValueError, match=r"xi: must be in \[1e-06, 32\] bit/s/Hz"):
             snr_threshold(xi)
 
     @pytest.mark.parametrize(
@@ -139,35 +145,49 @@ class TestThresholds:
             xi_af(OutageQuery(0.2, 0.2, XI_HALF), UNIT_BUDGET)
 
     def test_xi_af_huge_threshold_stays_finite(self):
-        # C_th ~ 1.07e301: the direct products overflow to inf/inf.  With
-        # a = C_th/2 and b = C_th the ratio is (b+1)/p_u * (C_th-a)/margin = 2.
-        c_th = snr_threshold(500.0)
-        q = OutageQuery(c_th / 2.0, c_th, 500.0)
-        assert xi_af(q, UNIT_BUDGET) == pytest.approx(2.0, rel=1e-12)
+        # At the domain's largest C_th (xi = 32, C_th = 2^64 - 1), with a = C_th/2 and
+        # b = C_th, the ratio (b+1)/p_u * (C_th-a)/margin is 2; xi = 500 is rejected.
+        c_th = snr_threshold(32.0)
+        assert xi_af(OutageQuery(c_th / 2.0, c_th, 32.0), UNIT_BUDGET) == pytest.approx(2.0, rel=1e-12)
+        with pytest.raises(ValueError, match="xi: must be in"):
+            OutageQuery(c_th / 2.0, c_th, 500.0)
 
     @pytest.mark.parametrize("p_user", [1e-5, 2e-5, 1e-3])
     def test_xi_af_overflowing_relay_snr_takes_limit(self, p_user):
-        # p_r * gamma_rb overflows: relay_term / margin -> 1, a limit the
-        # finite form already reaches in double precision at p_r = 1e290.
-        q = OutageQuery(p_user, 1e307, 0.1)
-        limit = xi_af(OutageQuery(p_user, 1e290, 0.1), DEFAULT_USER0)
-        assert xi_af(q, DEFAULT_USER0) == pytest.approx(limit, rel=1e-12)
-        expected = scheme_region(p_user, 1e307, q.c_th, DEFAULT_USER0.gamma_bar_ub, DEFAULT_USER0.gamma_bar_rb)
-        assert select_scheme(q, DEFAULT_USER0) is expected is Selection.AF
+        # A relay mean SNR that overflows needs a gain beyond the domain, which is rejected.  At the
+        # domain's edge (a 1e6 W relay on a 1e25-per-watt link) relay_term / margin is 1 to double
+        # precision, so xi_af is the limit (sigma2/alpha) * shortfall / p_u.
+        with pytest.raises(ValueError, match="alpha_rb: must be in"):
+            LinkBudget(alpha_ur=1e-9, alpha_ub=2e-12, alpha_rb=1e11, sigma2_relay=1e-15, sigma2_bs=1e-15)
+        budget = LinkBudget(alpha_ur=1e-9, alpha_ub=2e-12, alpha_rb=1e10, sigma2_relay=1e-15, sigma2_bs=1e-15)
+        q = OutageQuery(p_user, 1e6, 0.1)
+        limit = budget.sigma2_relay / budget.alpha_ur * (q.c_th - p_user * budget.gamma_bar_ub) / p_user
+        assert xi_af(q, budget) == pytest.approx(limit, rel=1e-12)
+        expected = scheme_region(p_user, 1e6, q.c_th, budget.gamma_bar_ub, budget.gamma_bar_rb)
+        assert select_scheme(q, budget) is expected is Selection.AF
 
     @pytest.mark.parametrize("p_user, p_relay", [(1e306, 1e-3), (1e307, 2e-3), (1e307, 1e307)])
     def test_xi_af_overflowing_direct_snr_is_nonpositive(self, p_user, p_relay):
-        q = OutageQuery(p_user, p_relay, 0.1)
-        assert xi_af(q, DEFAULT_USER0) <= 0.0
-        expected = scheme_region(p_user, p_relay, q.c_th, DEFAULT_USER0.gamma_bar_ub, DEFAULT_USER0.gamma_bar_rb)
-        assert select_scheme(q, DEFAULT_USER0) is expected is Selection.AF
+        # Powers whose direct mean SNR overflows lie beyond op-surface's power ranges, which reject
+        # them.  At the domain's largest direct mean SNR (1e6 W on a 1e30-per-watt link) xi_af <= 0.
+        with pytest.raises(ValueError, match="--pu-range: must be 0 or in"):
+            check("min_power_w", p_user, "--pu-range")
+        budget = LinkBudget(alpha_ur=1e-9, alpha_ub=1e10, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-20)
+        q = OutageQuery(1e6, min(p_relay, 1e6), 0.1)
+        assert xi_af(q, budget) <= 0.0
+        expected = scheme_region(q.p_user, q.p_relay, q.c_th, budget.gamma_bar_ub, budget.gamma_bar_rb)
+        assert select_scheme(q, budget) is expected is Selection.AF
 
     @pytest.mark.parametrize("alpha_ub, af_limit", [(1e-20, math.inf), (1e-11, -math.inf)])
     def test_thresholds_take_their_limit_when_alpha_ur_times_p_user_underflows(self, alpha_ub, af_limit):
-        budget = LinkBudget(alpha_ur=5e-324, alpha_ub=alpha_ub, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15)
+        # alpha_ur * p_u underflowed only for a gain beyond the domain, which is rejected.  At the
+        # domain's smallest gain both thresholds are finite, with the sign of the old limit.
+        with pytest.raises(ValueError, match="alpha_ur: must be in"):
+            LinkBudget(alpha_ur=5e-324, alpha_ub=alpha_ub, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15)
+        budget = LinkBudget(alpha_ur=1e-25, alpha_ub=alpha_ub, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15)
         q = OutageQuery(1e-3, 0.1, 0.1)
-        assert xi_df(q, budget) == math.inf
-        assert xi_af(q, budget) == af_limit  # -inf: the direct link alone clears the threshold
+        assert 0.0 < xi_df(q, budget) < math.inf
+        assert math.isfinite(xi_af(q, budget)) and math.copysign(1.0, xi_af(q, budget)) == math.copysign(1.0, af_limit)
 
     def test_xi_df_all_ones(self):
         assert xi_df(OutageQuery(1.0, 1.0, XI_HALF), UNIT_BUDGET) == pytest.approx(1.0)
@@ -415,15 +435,15 @@ class TestOutageProbabilities:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        xi=st.one_of(st.floats(1e-3, 20.0), st.floats(500.0, 511.99)),
+        xi=st.one_of(st.floats(1e-3, 20.0), st.floats(20.0, 32.0)),
         direct=st.floats(1e-6, 3.0),
         relay=st.floats(0.0, 3.0),
         gamma_ub=st.floats(1.0, 1e9),
         gamma_rb=st.floats(1.0, 1e9),
     )
     def test_select_scheme_is_scheme_region(self, xi, direct, relay, gamma_ub, gamma_rb):
-        # Powers are drawn as fractions of C_th per unit SNR, so huge C_th
-        # (xi near 512) still gives feasible points.
+        # Powers are drawn as fractions of C_th per unit SNR, so the domain's
+        # largest C_th (xi near 32) still gives feasible points.
         c_th = snr_threshold(xi)
         p_user = direct * (c_th / gamma_ub)
         p_relay = relay * (c_th / gamma_rb)

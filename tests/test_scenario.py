@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -42,9 +43,48 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["sigma2_relay_dbm", "sigma2_bs_dbm"])
     def test_overflowing_dbm_rejected(self, key):
+        # 1e308 dBm overflowed the conversion; the domain stops at 80 dBm, which converts to 1e5 W.
         doc = scenario_doc()
         doc["users"][0][key] = 1e308
-        with pytest.raises(ValueError, match=key.removesuffix("_dbm") + " must be finite"):
+        with pytest.raises(ValueError, match=rf"users\[0\]\.{key}: must be in \[-170, 80\] dBm, got 1e\+308"):
+            parse_scenario(doc)
+        for dbm, watts in ((-170, 1e-20), (80, 1e5)):
+            doc["users"][0][key] = dbm
+            assert getattr(parse_scenario(doc).users[0].budget, key.removesuffix("_dbm")) == watts
+
+    @pytest.mark.parametrize(
+        "keys, edge, outside",
+        [
+            (("system", "xi_bits"), 1e-6, 1e-300),
+            (("system", "xi_bits"), 32, 32.5),
+            (("system", "total_bw_hz"), 1, 0.5),
+            (("system", "total_bw_hz"), 1e12, 1.5e12),
+            (("grid", "w1"), 1e6, 1.5e6),
+            (("grid", "w2"), 0, -1e-300),
+            (("users", 0, "alpha_ur"), 1e-25, 5e-324),
+            (("users", 0, "alpha_ub"), 1e10, 1e300),
+            (("users", 0, "alpha_rb"), 1e10, 1e308),
+            (("users", 0, "sigma2_relay_dbm"), -170, -171),
+            (("users", 0, "sigma2_bs_dbm"), 80, 3112),
+            (("users", 0, "p_user_max_w"), 1e6, 1e300),
+            (("users", 0, "p_relay_max_w"), 1e-30, 5e-324),
+            (("users", 0, "p_user_min_w"), 1e-80, 5e-324),
+            (("users", 0, "p_relay_min_w"), 0, -1),
+            (("users", 0, "rate_min_bps"), 1e13, 1e308),
+            (("users", 0, "rate_min_bps"), 1e-3, 1e-300),
+        ],
+    )
+    def test_every_key_is_checked_against_the_domain(self, keys, edge, outside):
+        *path, key = keys
+        doc = scenario_doc()
+        section = doc
+        for part in path:
+            section = section[part]
+        section[key] = edge
+        parse_scenario(doc)
+        section[key] = outside
+        named = "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in keys).lstrip(".")
+        with pytest.raises(ValueError, match=re.escape(f"{named}: must be")):
             parse_scenario(doc)
 
     def test_unknown_top_level_key(self):
@@ -167,14 +207,19 @@ class TestBuildScenario:
 
     @pytest.mark.parametrize("given", [{}, {"p_user_min_w": 0}, {"p_relay_min_w": 0}, {"p_relay_min_w": 0.05}])
     def test_overflowing_sum_at_maximum_powers_exit_2(self, tmp_path, capsys, given):
+        # A 1e306 W cap made the mean SNR sum inf; the domain stops caps at 1e6 W.
         doc = scenario_doc()
-        doc["users"][0].update(given, p_user_max_w=1e306)  # mean SNR 1e4 per watt: the sum is inf
-        with pytest.raises(ValueError, match="non-finite mean SNR sum"):
-            build_scenario(parse_scenario(doc))
+        doc["users"][0].update(given, p_user_max_w=1e306)
+        with pytest.raises(ValueError, match=r"users\[0\]\.p_user_max_w: must be in"):
+            parse_scenario(doc)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         assert main(["optimize", str(path)]) == 2
-        assert "non-finite mean SNR sum inf" in capsys.readouterr().err
+        assert "error: users[0].p_user_max_w: must be in [1e-30, 1e+06] W, got 1e+306" in capsys.readouterr().err
+        # The domain's largest sum: 1e6 W caps on 1e30-per-watt links give 2e36.
+        doc["users"][0].update(p_user_max_w=1e6, p_relay_max_w=1e6, alpha_ub=1e10, alpha_rb=1e10, sigma2_bs_dbm=-170)
+        user = build_scenario(parse_scenario(doc)).users[0]
+        assert user.p_user_max * user.budget.gamma_bar_ub + user.p_relay_max * user.budget.gamma_bar_rb == 2e36
 
     def test_explicit_min_powers_respected(self):
         doc = scenario_doc()

@@ -28,6 +28,15 @@ DEFAULT_SCENARIO = str(Path(__file__).resolve().parent.parent / "scenarios" / "d
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # stdout of the benchmark's outage_map command (seed 2024, 20x20, 1e-4).
 OUTAGE_MAP_SHA256 = "8cace161ec48a076c55219868dd25c211ac629efdd94ebf22a8afad1674e6fe8"
+# stdout of ``optimize`` and ``sweep`` on the shipped scenarios.  ``hybrid.json`` is
+# ``default.json`` at xi_bits 6, where DF wins 28% of the proposed user-trials
+# (user 0's optimize row among them); at 0.1 bit AF wins every one.
+SCENARIO_SHA256 = {
+    ("optimize", "default.json"): "0be8d4b90becb3c2fdf58086886d72ad294800c731606831b2600b5d54d08dc7",
+    ("sweep", "default.json"): "8a4f279cdff36f4d274fd9ae05c0b85e6b18df307ea734f7806352612b6cc2d5",
+    ("optimize", "hybrid.json"): "a00754f0b5ba5f4b0f338a1294af8c845d50c0058f7acf804678cfdf250fd35c",
+    ("sweep", "hybrid.json"): "586f645a56c9f2a32fcad6f3eaf63cb59b1cb1356597c4b8a02a99fe0676dfcc",
+}
 
 
 def base_doc(**overrides):
@@ -429,6 +438,19 @@ class TestValidate:
         result = run_cli("validate", path, "--trials", "50000", "--target-error", "1e-3")
         assert result.returncode == 0
         assert "false" not in result.stdout
+
+
+@pytest.mark.parametrize("command, name", sorted(SCENARIO_SHA256))
+def test_shipped_scenario_bytes(command, name):
+    result = run_cli(command, str(Path(DEFAULT_SCENARIO).with_name(name)))
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == SCENARIO_SHA256[command, name]
+
+
+def test_hybrid_scenario_mixes_schemes():
+    result = run_cli("optimize", str(Path(DEFAULT_SCENARIO).with_name("hybrid.json")))
+    schemes = [line.split(",")[4] for line in result.stdout.splitlines()[1:-1]]
+    assert schemes == ["DF", "AF", "AF", "AF"]
 
 
 class TestOptimize:

@@ -19,14 +19,19 @@ CSI convention: user->BS and relay->BS links enter through *mean*
 normalized SNRs everywhere (the relay has only statistical CSI for
 them); the user->relay link uses the instantaneous best-port value.
 
-Trials are array axes.  Within one user only ``gamma_ur`` changes from
-one channel realization (trial) to the next, so :func:`optimize_powers`
-and :func:`solve_df_subproblem` take ``SnrTriple.gamma_ur`` as a float or
-as a 1-D array over trials and work elementwise (floats in, floats out;
-schemes then come as an object array of :class:`Selection`).
+Trials and users are array axes.  :func:`optimize_powers` and
+:func:`solve_df_subproblem` take either one :class:`UserConfig`, with
+``SnrTriple.gamma_ur`` a float or a 1-D array over trials, or a sequence
+of K users as columns: each box and mean SNR is then a ``(K,)`` row
+(:meth:`SnrTriple.from_budget` of K budgets) that broadcasts against
+``gamma_ur`` shaped ``(K,)`` or ``(T, K)``.  Which case of the power
+problem holds is a per-column mask, so every user of a batch takes one
+array pass, and one user is the one-column case.  Floats in give floats
+out; schemes come as an object array of :class:`Selection`, or one member.
 :func:`solve_system` takes the user->relay SNRs of T realizations as a
-``(T, K)`` array and returns :class:`TrialAllocations`, whose ``errors``
-say which trials are infeasible and why; one realization is ``T = 1``.
+``(T, K)`` array, solves them in one such pass and returns
+:class:`TrialAllocations`, whose ``errors`` say which trials are
+infeasible and why; one realization is ``T = 1``.
 """
 
 from __future__ import annotations
@@ -34,12 +39,21 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .domain import check
 from .errors import InfeasibleError
-from .outage import LinkBudget, Selection, _df_region_touches, _selections, mean_snr_sum, scheme_region, snr_threshold
+from .outage import (
+    LinkBudget,
+    Selection,
+    _af_minimizes_outage,
+    _df_region_touches,
+    _selections,
+    mean_snr_sum,
+    snr_threshold,
+)
 
 
 @dataclass(frozen=True)
@@ -85,9 +99,15 @@ class SnrTriple:
                 raise ValueError(f"provenance tag must be 'mean' or 'instantaneous', got {tag!r}")
 
     @classmethod
-    def from_budget(cls, budget: LinkBudget, gamma_ur) -> "SnrTriple":
-        """Mean UB/RB SNRs from the budget plus instantaneous UR values."""
-        return cls(gamma_ub=budget.gamma_bar_ub, gamma_ur=gamma_ur, gamma_rb=budget.gamma_bar_rb)
+    def from_budget(cls, budget, gamma_ur) -> "SnrTriple":
+        """Mean UB/RB SNRs from the budget plus instantaneous UR values; K budgets give ``(K,)`` rows."""
+        if isinstance(budget, LinkBudget):
+            return cls(gamma_ub=budget.gamma_bar_ub, gamma_ur=gamma_ur, gamma_rb=budget.gamma_bar_rb)
+        return cls(
+            gamma_ub=np.array([b.gamma_bar_ub for b in budget]),
+            gamma_ur=gamma_ur,
+            gamma_rb=np.array([b.gamma_bar_rb for b in budget]),
+        )
 
 
 @dataclass(frozen=True)
@@ -165,12 +185,16 @@ def _smallest_passing(passes, cap: float) -> float:
     return struct.unpack("<d", struct.pack("<q", ok))[0]
 
 
-def _require_reach(label: str, p_user, p_relay, gamma_ub, gamma_rb, c_th: float) -> float:
-    """The mean SNR sum of the powers ``label`` names; INFEASIBLE_POWER when it falls below C_th."""
-    total = mean_snr_sum(p_user, p_relay, gamma_ub, gamma_rb)
-    if total < c_th:
-        raise InfeasibleError("INFEASIBLE_POWER", f"{label} give mean SNR sum {total:.6g} < threshold {c_th:.6g}")
-    return total
+def _require_reach(label: str, p_user, p_relay, gamma_ub, gamma_rb, c_th: float) -> None:
+    """INFEASIBLE_POWER when the mean SNR sum of the powers ``label`` names falls below C_th.
+
+    Over rows of users, the first user whose sum falls short is the one named.
+    """
+    total = np.reshape(mean_snr_sum(p_user, p_relay, gamma_ub, gamma_rb), -1)
+    short = np.flatnonzero(total < c_th)
+    if short.size:
+        detail = f"{label} give mean SNR sum {total[short[0]]:.6g} < threshold {c_th:.6g}"
+        raise InfeasibleError("INFEASIBLE_POWER", detail)
 
 
 def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_user_min=None, p_relay_min=None):
@@ -197,7 +221,38 @@ def power_box(budget: LinkBudget, p_user_max, p_relay_max, rate_min, c_th, p_use
     return UserConfig(budget, p_user_max, p_relay_max, *corner(least), rate_min)
 
 
-def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
+class _Columns(NamedTuple):
+    """Users as columns: ``(K,)`` box and mean-SNR rows, ``gamma_ur`` as ``(T, K)``, and its given shape."""
+
+    users: tuple[UserConfig, ...]
+    u_lo: np.ndarray
+    u_hi: np.ndarray
+    r_lo: np.ndarray
+    r_hi: np.ndarray
+    gub: np.ndarray
+    grb: np.ndarray
+    gur: np.ndarray
+    shape: tuple[int, ...]
+
+
+def _columns(cfg, s: SnrTriple) -> _Columns:
+    """One :class:`UserConfig` as one column, or a sequence of K users whose ``gamma_ur`` is ``(K,)`` or ``(T, K)``."""
+    users = (cfg,) if isinstance(cfg, UserConfig) else tuple(cfg)
+    shape = np.shape(s.gamma_ur)
+    if not isinstance(cfg, UserConfig) and shape[-1:] != (len(users),):
+        raise ValueError(f"gamma_ur of {len(users)} users must be shaped (K,) or (T, K), got {shape}")
+    box = np.array([(u.p_user_min, u.p_user_max, u.p_relay_min, u.p_relay_max) for u in users], dtype=float)
+    gub, grb = np.full(len(users), s.gamma_ub, dtype=float), np.full(len(users), s.gamma_rb, dtype=float)
+    gur = np.reshape(s.gamma_ur, (-1, len(users))).astype(float)
+    return _Columns(users, *box.T, gub, grb, gur, shape)
+
+
+def _in_shape(a: np.ndarray, shape: tuple[int, ...]):
+    """A ``(T, K)`` result in ``gamma_ur``'s given shape: a float for a float."""
+    return float(a[0, 0]) if not shape else a.reshape(shape)
+
+
+def solve_df_subproblem(cfg, s: SnrTriple, c_th: float):
     """Best DF operating point inside the box and the DF region.
 
     Maximizes ``min(pu*gub + pr*grb, pu*gur)`` over the power box and the
@@ -210,54 +265,48 @@ def solve_df_subproblem(cfg: UserConfig, s: SnrTriple, c_th: float):
     most once, at the larger root of ``t^2 - (C+1)*t + (C^2 + C)*(gub - gur)/gub``.
     The optimum is thus exactly one of ``{r_lo, flat start, r*, crossing,
     r_top}`` clipped to ``[r_lo, r_top]``; the first best wins, so ties take
-    the least relay power.  With ``grb == 0`` the objective ignores ``r``
-    and ``r_lo`` is returned.  Only the flat start and the crossing depend
-    on ``gur``, so an array of ``gur`` is solved in one pass.
+    the least relay power.  Both mean SNRs must be positive.  The candidates
+    are elementwise in ``gur`` and the box, so every trial and user column
+    (see :func:`optimize_powers`) is solved in one pass.
 
     Returns ``(p_user, p_relay, snr_df)``, floats or arrays shaped like ``gur``.
     """
-    gub, grb = s.gamma_ub, s.gamma_rb
-    shape = np.shape(s.gamma_ur)
-    gur = np.reshape(s.gamma_ur, -1).astype(float)  # one column per trial
-    if gub <= 0:
-        raise ValueError("DF subproblem requires a positive mean user->BS SNR")
-    bound = c_th * c_th + c_th
-    u_lo, u_hi = cfg.p_user_min, cfg.p_user_max
-    r_lo, r_hi = cfg.p_relay_min, cfg.p_relay_max
-    if not _df_region_touches(u_lo, r_lo, c_th, gub, grb):
+    c = _columns(cfg, s)
+    if (c.gub <= 0).any() or (c.grb <= 0).any():
+        raise ValueError("DF subproblem requires positive mean UB/RB SNRs")
+    if not _df_region_touches(c.u_lo, c.r_lo, c_th, c.gub, c.grb).all():
         raise ValueError("DF subproblem requires the DF region to touch the box (C~ >= 1)")
+    gub, grb, gur = c.gub, c.grb, c.gur
+    bound = c_th * c_th + c_th
 
     def user_cap(p_relay):
         return bound / (gub * ((c_th + 1.0) + grb * p_relay))
 
-    def relay_at_cap(p_user):  # inverse of user_cap; needs grb > 0
-        return (bound / (gub * p_user) - (c_th + 1.0)) / grb
-
-    # One row per candidate relay power: r_lo, flat start, r*, crossing, r_top.
-    relay = np.full((5 if grb > 0 else 1, gur.size), r_lo)
-    if grb > 0:
-        # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard).
-        r_top = max(min(r_hi, relay_at_cap(u_lo)) if u_lo > 0 else r_hi, r_lo)
-        relay[2] = relay_at_cap(u_hi)
-        relay[1] = u_hi * (gur - gub) / grb
-        # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
-        disc = (c_th + 1.0) ** 2 + 4.0 * bound * (gur - gub) / gub
-        relay[3] = 2.0 * bound * (gur - gub) / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
-        relay[4] = r_top
-        np.minimum(np.maximum(relay, r_lo, out=relay), r_top, out=relay)
+    # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard);
+    # the inverse of user_cap at u_lo, which is r_hi's cap when u_lo = 0.
+    ratio_lo = np.divide(bound, gub * c.u_lo, out=np.full(gub.shape, np.inf), where=c.u_lo > 0)
+    r_top = np.maximum(np.minimum(c.r_hi, (ratio_lo - (c_th + 1.0)) / grb), c.r_lo)
+    # One (T, K) row per candidate relay power: r_lo, flat start, r*, crossing, r_top.
+    relay = np.empty((5, *gur.shape))
+    relay[0] = c.r_lo
+    excess = gur - gub
+    relay[1] = c.u_hi * excess / grb
+    relay[2] = (bound / (gub * c.u_hi) - (c_th + 1.0)) / grb
+    # Larger root, free of cancellation; disc < 0 (no crossing) gives r < 0, clipped away.
+    disc = (c_th + 1.0) ** 2 + 4.0 * bound * excess / gub
+    relay[3] = 2.0 * bound * excess / (gub * grb * (c_th + 1.0 + np.sqrt(np.maximum(disc, 0.0))))
+    relay[4] = r_top
+    np.minimum(np.maximum(relay, c.r_lo, out=relay), r_top, out=relay)
     # Every candidate is <= r_top, so the cap is >= u_lo; the max only undoes
-    # rounding in user_cap(relay_at_cap(u_lo)), which can land an ulp below u_lo.
-    user = np.minimum(u_hi, np.maximum(u_lo, user_cap(relay)))
+    # rounding in user_cap(r_top), which can land an ulp below u_lo.
+    user = np.minimum(c.u_hi, np.maximum(c.u_lo, user_cap(relay)))
     value = np.minimum(user * gub + relay * grb, user * gur)
-    best = np.argmax(value, axis=0), np.arange(gur.size)
-    best_user, best_relay, best_value = (a[best].reshape(shape) for a in (user, relay, value))
-    if not shape:
-        return float(best_user), float(best_relay), float(best_value)
-    return best_user, best_relay, best_value
+    best = np.argmax(value, axis=0)
+    return tuple(_in_shape(np.choose(best, a), c.shape) for a in (user, relay, value))
 
 
-def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
-    """Scheme-aware optimal transmit powers over the user's power box.
+def optimize_powers(cfg, s: SnrTriple, c_th: float):
+    """Scheme-aware optimal transmit powers over each user's power box.
 
     The scheme-region curve is monotone, so only three cases exist:
 
@@ -269,28 +318,28 @@ def optimize_powers(cfg: UserConfig, s: SnrTriple, c_th: float):
       and the best DF point solves the DF subproblem; keep the larger
       SNR, AF winning ties.
 
-    Which case holds does not depend on ``gur``, so an array of ``gur``
-    picks it once.  Returns ``(p_user, p_relay, scheme)``: floats and a
-    :class:`Selection`, or arrays shaped like ``gur``.
+    Which case holds does not depend on ``gur``, so it is a mask over user
+    columns, and one :func:`solve_df_subproblem` call serves every split
+    column.  ``cfg`` is one :class:`UserConfig` or a sequence of K users
+    (see the module docstring); a box whose minimum corner misses C_th raises
+    the first such user's INFEASIBLE_POWER.  Returns ``(p_user, p_relay,
+    scheme)``: floats and a :class:`Selection`, or arrays shaped like ``gur``.
     """
-    if s.gamma_ub <= 0 or s.gamma_rb <= 0:
+    c = _columns(cfg, s)
+    if (c.gub <= 0).any() or (c.grb <= 0).any():
         raise ValueError("optimize_powers requires positive mean UB/RB SNRs")
-    _require_reach("minimum powers", cfg.p_user_min, cfg.p_relay_min, s.gamma_ub, s.gamma_rb, c_th)
-    shape = np.shape(s.gamma_ur)
-    p_user = np.full(shape, float(cfg.p_user_max))
-    p_relay = np.full(shape, float(cfg.p_relay_max))
-    if scheme_region(cfg.p_user_max, cfg.p_relay_max, c_th, s.gamma_ub, s.gamma_rb) is Selection.DF:
-        df = np.full(shape, True)
-    elif not _df_region_touches(cfg.p_user_min, cfg.p_relay_min, c_th, s.gamma_ub, s.gamma_rb):
-        df = np.full(shape, False)
-    else:
-        df_user, df_relay, df_snr = solve_df_subproblem(cfg, s, c_th)
-        df = df_snr > snr_af(cfg.p_user_max, cfg.p_relay_max, s)
-        p_user = np.where(df, df_user, p_user)
-        p_relay = np.where(df, df_relay, p_relay)
-    if not shape:
-        return float(p_user), float(p_relay), _selections(df)
-    return p_user, p_relay, _selections(df)
+    _require_reach("minimum powers", c.u_lo, c.r_lo, c.gub, c.grb, c_th)
+    # The rule at the max corner, which reaches C_th since the min corner does.
+    whole_df = ~_af_minimizes_outage(c.u_hi, c.r_hi, c_th, c.gub, c.grb)
+    split = np.flatnonzero(~whole_df & _df_region_touches(c.u_lo, c.r_lo, c_th, c.gub, c.grb))
+    p_user, p_relay, df = (np.full(c.gur.shape, row) for row in (c.u_hi, c.r_hi, whole_df))
+    if split.size:
+        sub = SnrTriple(c.gub[split], c.gur[:, split], c.grb[split])
+        df_user, df_relay, df_snr = solve_df_subproblem([c.users[k] for k in split], sub, c_th)
+        df[:, split] = wins = df_snr > snr_af(c.u_hi[split], c.r_hi[split], sub)
+        p_user[:, split] = np.where(wins, df_user, c.u_hi[split])
+        p_relay[:, split] = np.where(wins, df_relay, c.r_hi[split])
+    return _in_shape(p_user, c.shape), _in_shape(p_relay, c.shape), _selections(df.reshape(c.shape))
 
 
 def allocate_bandwidth_rows(snrs, rate_mins, total_bw: float) -> tuple[np.ndarray, list]:
@@ -390,27 +439,22 @@ def solve_system(users, total_bw: float, xi: float, gamma_ur_values) -> TrialAll
     UB/RB links use the mean SNRs from each budget.  Infeasible trials are
     marked in ``errors``, never raised.
     """
-    users = list(users)
+    users = tuple(users)
     if not users:
         raise ValueError("solve_system requires at least one user")
     gammas = np.asarray(gamma_ur_values, dtype=float)
     if gammas.ndim != 2 or gammas.shape[1] != len(users):
         raise ValueError("gamma_ur must be (T, K): one realization per user in each trial")
     c_th = snr_threshold(xi)
-    p_user = np.full(gammas.shape, np.nan)
-    p_relay = np.full(gammas.shape, np.nan)
-    snr = np.full(gammas.shape, np.nan)
-    scheme = np.full(gammas.shape, None, dtype=object)
-    rate = np.zeros(gammas.shape)
+    triple = SnrTriple.from_budget([cfg.budget for cfg in users], gammas)
     try:
-        for k, cfg in enumerate(users):
-            triple = SnrTriple.from_budget(cfg.budget, gammas[:, k])
-            p_user[:, k], p_relay[:, k], scheme[:, k] = optimize_powers(cfg, triple, c_th)
-            snr[:, k] = scheme_snr(scheme[:, k], p_user[:, k], p_relay[:, k], triple)
+        p_user, p_relay, scheme = optimize_powers(users, triple, c_th)
     except InfeasibleError as err:  # a power box fails whatever the channel
-        p_user[:], p_relay[:], snr[:], scheme[:] = np.nan, np.nan, np.nan, None
-        bandwidth, errors = np.zeros(gammas.shape), [err] * len(gammas)
+        p_user, p_relay, snr = (np.full(gammas.shape, np.nan) for _ in range(3))
+        scheme = np.full(gammas.shape, None, dtype=object)
+        bandwidth, rate, errors = np.zeros(gammas.shape), np.zeros(gammas.shape), [err] * len(gammas)
     else:
+        snr = scheme_snr(scheme, p_user, p_relay, triple)
         bandwidth, errors = allocate_bandwidth_rows(snr, [cfg.rate_min for cfg in users], total_bw)
         rate = half_duplex_rate(bandwidth, snr)
     return TrialAllocations(

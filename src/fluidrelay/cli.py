@@ -57,18 +57,9 @@ _OP_PROBE_SCALES = (0.4, 0.9)  # fraction of the feasibility boundary
 _OP_PROBE_GAINS = (1.0, 2.5)  # target best-gain CDF argument
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, Selection):
-        return value.value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.9g}"
-    return str(value)
+def _flag(value) -> str:
+    """A CSV boolean cell: ``true`` or ``false``."""
+    return "true" if value else "false"
 
 
 def _count(text: str) -> int:
@@ -78,10 +69,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _emit(header, rows, out_path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    data = "\n".join(lines) + "\n"
+def _emit(header, lines, out_path: str | None) -> None:
+    """Write ``header`` and the formatted rows ``lines`` as one CSV table.
+
+    Each command formats its rows with one f-string per row shape, cell by
+    cell: floats as ``{:.9g}``, integers and labels as they are, booleans
+    through :func:`_flag`, absent values as empty cells.
+    """
+    data = "\n".join([",".join(header), *lines]) + "\n"
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(data)
@@ -113,11 +108,12 @@ def cmd_op_surface(args) -> int:
         config,
         n_threads=args.threads,
     )
-    rows = [
-        (p.p_user, p.p_relay, p.xi, p.result.op_af, p.result.op_df, p.result.selection)
+    lines = [
+        f"{p.p_user:.9g},{p.p_relay:.9g},{p.xi:.9g},{p.result.op_af:.9g},{p.result.op_df:.9g},"
+        f"{p.result.selection.value}"
         for p in points
     ]
-    _emit(("p_user_w", "p_relay_w", "xi", "op_af", "op_df", "selection"), rows, args.out)
+    _emit(("p_user_w", "p_relay_w", "xi", "op_af", "op_df", "selection"), lines, args.out)
     return EXIT_OK
 
 
@@ -135,13 +131,15 @@ def cmd_validate(args) -> int:
     xs = np.geomspace(0.1, 5.0, args.points)
     empirical = empirical_best_gain_cdf(corr, xs, args.trials, spec.seed)
 
-    rows = []
+    lines = []
     all_ok = True
     for i, point in enumerate(empirical):
         analytic = best_gain_cdf(point.x, corr, replace(config, seed=derive_seed(spec.seed, 100, i)))
         tolerance, ok = _pass_rule(analytic, point.cdf, point.std_err)
         all_ok &= ok
-        rows.append(("cdf", point.x, None, None, "", analytic, point.cdf, point.std_err, tolerance, ok))
+        lines.append(
+            f"cdf,{point.x:.9g},,,,{analytic:.9g},{point.cdf:.9g},{point.std_err:.9g},{tolerance:.9g},{_flag(ok)}"
+        )
 
     c_th = snr_threshold(spec.xi)
     # Two probes below the feasibility boundary (deterministic OP = 1)
@@ -168,11 +166,14 @@ def cmd_validate(args) -> int:
             std_err = binomial_std_err(emp, args.trials)
             tolerance, ok = _pass_rule(analytic, emp, std_err)
             all_ok &= ok
-            rows.append(("op", None, p_user, p_relay, scheme, analytic, emp, std_err, tolerance, ok))
+            lines.append(
+                f"op,,{p_user:.9g},{p_relay:.9g},{scheme.value},{analytic:.9g},{emp:.9g},{std_err:.9g},"
+                f"{tolerance:.9g},{_flag(ok)}"
+            )
 
     header = ("kind", "x", "p_user_w", "p_relay_w", "scheme", "analytic", "empirical", "std_err", "tolerance",
               "within_budget")
-    _emit(header, rows, args.out)
+    _emit(header, lines, args.out)
     return EXIT_OK if all_ok else EXIT_VALIDATION
 
 
@@ -183,16 +184,15 @@ def cmd_optimize(args) -> int:
     result = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
     if result.errors[0] is not None:
         raise result.errors[0]
-    rows = [
-        ("user", k, result.p_user[0, k], result.p_relay[0, k], result.scheme[0, k], result.bandwidth[0, k],
-         result.snr[0, k], result.rate[0, k], None, None, None)
+    lines = [
+        f"user,{k},{result.p_user[0, k]:.9g},{result.p_relay[0, k]:.9g},{result.scheme[0, k].value},"
+        f"{result.bandwidth[0, k]:.9g},{result.snr[0, k]:.9g},{result.rate[0, k]:.9g},,,"
         for k in range(len(scenario.users))
     ]
-    best = int(np.argmax(result.snr[0]))
-    rows.append(("summary", None, None, None, None, None, None, None, best, result.sum_rate[0], True))
+    lines.append(f"summary,,,,,,,,{np.argmax(result.snr[0])},{result.sum_rate[0]:.9g},true")
     header = ("row", "user", "p_user_w", "p_relay_w", "scheme", "bandwidth_hz", "snr", "rate_bps",
               "best_user_index", "sum_rate_bps", "feasible")
-    _emit(header, rows, args.out)
+    _emit(header, lines, args.out)
     return EXIT_OK
 
 
@@ -205,11 +205,11 @@ def cmd_sweep(args) -> int:
         spec = replace(spec, users=tuple(replace(u, p_user_min=0.0, p_relay_min=0.0) for u in spec.users))
     scenario = build_scenario(spec)
     result = run_sweep(scenario, spec.sweep)
-    rows = [
-        (row.sweep_value, row.scheme, row.trial, row.sum_rate, row.feasible)
+    lines = [
+        f"{row.sweep_value:.9g},{row.scheme},{row.trial},{row.sum_rate:.9g},{_flag(row.feasible)}"
         for row in result.rows
     ]
-    _emit(("sweep_value", "scheme", "trial", "sum_rate_bps", "feasible"), rows, args.out)
+    _emit(("sweep_value", "scheme", "trial", "sum_rate_bps", "feasible"), lines, args.out)
     return EXIT_OK
 
 

@@ -14,10 +14,11 @@ gains made once per port grid: ``run_sweep`` passes one to every
 ``run_benchmark`` call, whatever the number of schemes and sweep values.
 
 ``run_benchmark`` takes one scheme's ``(T, K)`` user->relay SNRs from
-one ``draw_gamma_ur`` call and solves all T trials in one array pass:
-``solve_system`` on the ``(T, K)`` array for ``proposed`` and ``tas``,
-per-user ``optimize_powers`` calls over the trial axis for
-``avg_bandwidth``, and row-wise bandwidth for ``random_power``.
+one ``draw_gamma_ur`` call and solves every trial and user in one array
+pass, users as columns: ``solve_system`` for ``proposed`` and ``tas``,
+one ``optimize_powers`` call for ``avg_bandwidth``, and one set of power
+draws with row-wise bandwidth for ``random_power``.  A sweep thus makes
+one pass per scheme and sweep value, whatever the number of users.
 """
 
 from __future__ import annotations
@@ -358,15 +359,12 @@ def draw_gamma_ur(users, grid: PortGrid, draws: TrialDraws) -> np.ndarray:
 
 def _solve_average_bandwidth(users, total_bw, c_th, gammas):
     """Optimal powers but an equal bandwidth split: per-trial sum rates and reasons."""
-    snr = np.empty(gammas.shape)
-    for k, user in enumerate(users):
-        triple = SnrTriple.from_budget(user.budget, gammas[:, k])
-        try:
-            pu, pr, scheme = optimize_powers(user, triple, c_th)
-        except InfeasibleError as err:  # a power box fails whatever the channel
-            return np.zeros(len(gammas)), (err.reason,) * len(gammas)
-        snr[:, k] = scheme_snr(scheme, pu, pr, triple)
-    rate = half_duplex_rate(total_bw / len(users), snr)
+    triple = SnrTriple.from_budget([user.budget for user in users], gammas)
+    try:
+        pu, pr, scheme = optimize_powers(users, triple, c_th)
+    except InfeasibleError as err:  # a power box fails whatever the channel
+        return np.zeros(len(gammas)), (err.reason,) * len(gammas)
+    rate = half_duplex_rate(total_bw / len(users), scheme_snr(scheme, pu, pr, triple))
     short = np.any(rate < [u.rate_min for u in users], axis=1)
     reasons = tuple("INFEASIBLE_BANDWIDTH" if s else "" for s in short)
     return np.where(short, 0.0, sum_over_users(rate)), reasons
@@ -374,21 +372,20 @@ def _solve_average_bandwidth(users, total_bw, c_th, gammas):
 
 def _solve_random_power(users, total_bw, c_th, gammas, uniforms):
     """Uniform random powers in the box, scheme by the selection rule: per-trial sum rates and reasons."""
-    snr = np.empty(gammas.shape)
-    short = np.zeros(len(gammas), dtype=bool)  # a user's draw misses C_th: INFEASIBLE_POWER
-    for k, user in enumerate(users):
-        # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
-        pu = user.p_user_min + (user.p_user_max - user.p_user_min) * uniforms[:, k, 0]
-        pr = user.p_relay_min + (user.p_relay_max - user.p_relay_min) * uniforms[:, k, 1]
-        triple = SnrTriple.from_budget(user.budget, gammas[:, k])
-        reach = mean_snr_sum(pu, pr, triple.gamma_ub, triple.gamma_rb) >= c_th
-        short |= ~reach
-        sends = reach & (pu > 0)  # a 0 W draw has SNR 0 under either scheme; the rule's tie convention picks AF
-        scheme = np.full(pu.shape, Selection.AF, dtype=object)
-        scheme[sends] = scheme_region(pu[sends], pr[sends], c_th, triple.gamma_ub, triple.gamma_rb)
-        snr[:, k] = scheme_snr(scheme, pu, pr, triple)
+    u_lo, u_hi, r_lo, r_hi = np.array([(u.p_user_min, u.p_user_max, u.p_relay_min, u.p_relay_max) for u in users]).T
+    # lo + (hi - lo)*u is exactly what Generator.uniform(lo, hi) returns.
+    pu = u_lo + (u_hi - u_lo) * uniforms[:, : len(users), 0]
+    pr = r_lo + (r_hi - r_lo) * uniforms[:, : len(users), 1]
+    triple = SnrTriple.from_budget([user.budget for user in users], gammas)
+    gub, grb = (np.broadcast_to(g, gammas.shape) for g in (triple.gamma_ub, triple.gamma_rb))
+    reach = mean_snr_sum(pu, pr, gub, grb) >= c_th  # a draw that misses C_th: INFEASIBLE_POWER
+    sends = reach & (pu > 0)  # a 0 W draw has SNR 0 under either scheme; the rule's tie convention picks AF
+    scheme = np.full(gammas.shape, Selection.AF, dtype=object)
+    scheme[sends] = scheme_region(pu[sends], pr[sends], c_th, gub[sends], grb[sends])
+    snr = scheme_snr(scheme, pu, pr, triple)
     bandwidth, errors = allocate_bandwidth_rows(snr, [u.rate_min for u in users], total_bw)
     rate = half_duplex_rate(bandwidth, snr)
+    short = ~reach.all(axis=1)
     reasons = ("INFEASIBLE_POWER" if s else "" if err is None else err.reason for s, err in zip(short, errors))
     return np.where(short, 0.0, sum_over_users(rate)), tuple(reasons)
 

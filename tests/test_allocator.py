@@ -436,6 +436,13 @@ class TestDfSubproblem:
         with pytest.raises(ValueError):
             solve_df_subproblem(cfg, s, 1.0)  # min corner deep in AF region
 
+    @pytest.mark.parametrize("gamma_ub, gamma_rb", [(1.0, 0.0), (0.0, 1.0)])
+    def test_zero_mean_snr_rejected(self, gamma_ub, gamma_rb):
+        # The domain keeps every mean SNR at 1e-30 or more; optimize_powers asks the same.
+        cfg = UserConfig(unit_budget(), 1.0, 0.5, 0.2, 0.1, 0.0)
+        with pytest.raises(ValueError, match="positive mean UB/RB SNRs"):
+            solve_df_subproblem(cfg, SnrTriple(gamma_ub, 2.0, gamma_rb), 1.0)
+
     def test_closed_form_not_below_sweep(self):
         for cfg, s, c_th in split_box_instances(seed=21, count=400):
             result = solve_df_subproblem(cfg, s, c_th)
@@ -447,8 +454,6 @@ class TestDfSubproblem:
         [
             # fixed relay power: the user power sits at the DF-region cap 2/2.5
             ((0.2, 1.0, 0.5, 0.5), (1.0, 2.0, 1.0), (0.8, 0.5, 1.3)),
-            # gamma_rb = 0: the objective ignores relay power, r_lo is kept
-            ((0.2, 1.0, 0.1, 0.5), (1.0, 2.0, 0.0), (1.0, 0.1, 1.0)),
             # gamma_ur < gamma_ub: flat up to the kink r* = 0.5, least relay power wins
             ((0.1, 0.8, 0.1, 2.0), (1.0, 0.5, 1.0), (0.8, 0.1, 0.4)),
             # kink r* = 0 left of the box: optimum at the branch crossing t = 1 + sqrt(5)
@@ -457,7 +462,7 @@ class TestDfSubproblem:
             # kink r* = 2 right of the box: user power stays at its maximum
             ((0.1, 0.5, 0.1, 1.0), (1.0, 4.0, 1.0), (0.5, 1.0, 1.5)),
         ],
-        ids=["fixed_relay_power", "gamma_rb_zero", "gamma_ur_below_gamma_ub", "kink_left", "kink_right"],
+        ids=["fixed_relay_power", "gamma_ur_below_gamma_ub", "kink_left", "kink_right"],
     )
     def test_explicit_cases(self, box, triple, expected):
         pu_min, pu_max, pr_min, pr_max = box
@@ -605,6 +610,69 @@ class TestArraysOverTrials:
     def test_negative_gamma_ur_in_array_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             SnrTriple(1.0, np.array([1.0, -1e-9]), 1.0)
+
+
+class TestUsersAsColumns:
+    """A sequence of users is one call whose every column equals that user's own call, bit for bit."""
+
+    WHOLE_DF = UserConfig(unit_budget(), 0.6, 0.6, 0.5, 0.5, 0.0)  # max corner 1.56 <= 2: DF
+    WHOLE_AF = UserConfig(unit_budget(4.0, 4.0), 2.0, 2.0, 1.0, 1.0, 0.0)  # min corner strictly AF
+    SPLIT = UserConfig(unit_budget(), 1.0, 1.0, 0.5, 0.5, 0.0)  # min corner DF, max corner AF
+    MISSES = UserConfig(unit_budget(), 1.0, 1.0, 0.1, 0.1, 0.0)  # minimum corner sums to 0.2 < C_th = 1
+    MISSES_MORE = UserConfig(unit_budget(), 1.0, 1.0, 0.05, 0.05, 0.0)
+
+    @staticmethod
+    def columns(users, trials=33):
+        gur = np.outer(np.logspace(-2.0, 2.0, trials), np.arange(1.0, len(users) + 1.0))
+        return SnrTriple.from_budget([u.budget for u in users], gur)
+
+    @staticmethod
+    def own(user, s, k):
+        return SnrTriple.from_budget(user.budget, s.gamma_ur[..., k])
+
+    def test_optimize_powers_columns_are_per_user_calls(self):
+        users = [self.WHOLE_DF, self.WHOLE_AF, self.SPLIT]
+        s = self.columns(users)
+        p_user, p_relay, schemes = optimize_powers(users, s, 1.0)
+        assert p_user.shape == p_relay.shape == schemes.shape == s.gamma_ur.shape
+        for k, user in enumerate(users):
+            own_user, own_relay, own_schemes = optimize_powers(user, self.own(user, s, k), 1.0)
+            assert p_user[:, k].tobytes() == own_user.tobytes()
+            assert p_relay[:, k].tobytes() == own_relay.tobytes()
+            assert list(schemes[:, k]) == list(own_schemes)
+        # Every case of the power problem is present: DF on the whole box, AF on the whole box, and a split.
+        assert set(schemes[:, 0]) == {Selection.DF} and set(schemes[:, 1]) == {Selection.AF}
+        assert set(schemes[:, 2]) == {Selection.AF, Selection.DF}
+
+    def test_df_subproblem_columns_are_per_user_calls(self):
+        users = [self.SPLIT, self.WHOLE_DF]
+        s = self.columns(users)
+        columns = solve_df_subproblem(users, s, 1.0)
+        for k, user in enumerate(users):
+            for got, want in zip(columns, solve_df_subproblem(user, self.own(user, s, k), 1.0)):
+                assert got[:, k].tobytes() == want.tobytes()
+
+    def test_one_trial_of_k_users(self):
+        users = [self.WHOLE_DF, self.WHOLE_AF, self.SPLIT]
+        s = SnrTriple.from_budget([u.budget for u in users], np.array([0.5, 2.0, 1.0]))
+        p_user, p_relay, schemes = optimize_powers(users, s, 1.0)
+        for k, user in enumerate(users):
+            assert (p_user[k], p_relay[k], schemes[k]) == optimize_powers(user, self.own(user, s, k), 1.0)
+
+    def test_first_user_that_misses_the_threshold_raises_its_own_error(self):
+        users = [self.WHOLE_DF, self.MISSES, self.WHOLE_AF, self.SPLIT, self.MISSES_MORE]
+        s = self.columns(users)
+        with pytest.raises(InfeasibleError) as own:
+            optimize_powers(self.MISSES, self.own(self.MISSES, s, 1), 1.0)
+        with pytest.raises(InfeasibleError) as columns:
+            optimize_powers(users, s, 1.0)
+        assert str(columns.value) == str(own.value)
+        assert str(own.value) == "INFEASIBLE_POWER: minimum powers give mean SNR sum 0.2 < threshold 1"
+
+    def test_gamma_ur_must_end_in_the_user_axis(self):
+        users = [self.WHOLE_DF, self.SPLIT]
+        with pytest.raises(ValueError, match="shaped"):
+            optimize_powers(users, SnrTriple.from_budget([u.budget for u in users], np.ones((2, 3))), 1.0)
 
 
 @st.composite

@@ -614,7 +614,7 @@ class TestTinyLeaderResidual:
         scenario = build_scenario(load_scenario(path))
         gammas = draw_gamma_ur(scenario.users, scenario.grid, TrialDraws(scenario.seed, 1, len(scenario.users)))
         solved = solve_system(scenario.users, scenario.total_bw, scenario.xi, gammas)
-        assert result.stdout.splitlines()[-1].split(",")[-2] == cli._fmt(solved.sum_rate[0])
+        assert result.stdout.splitlines()[-1].split(",")[-2] == f"{solved.sum_rate[0]:.9g}"
         assert leader_residual_is_tight(solved.bandwidth[0], solved.snr[0], self.RATE_MINS, scenario.total_bw)
 
 
@@ -772,7 +772,7 @@ class TestSweep:
 class TestFormatting:
     @pytest.mark.parametrize("value, text", [(np.True_, "true"), (np.False_, "false"), (True, "true")])
     def test_booleans_lowercase(self, value, text):
-        assert cli._fmt(value) == text
+        assert cli._flag(value) == text
 
     def test_floats_nine_significant_digits(self, tmp_path):
         path = write_doc(tmp_path, base_doc())

@@ -282,8 +282,8 @@ def solve_df_subproblem(cfg, s: SnrTriple, c_th: float):
     def user_cap(p_relay):
         return bound / (gub * ((c_th + 1.0) + grb * p_relay))
 
-    # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard);
-    # the inverse of user_cap at u_lo, which is r_hi's cap when u_lo = 0.
+    # Largest relay power leaving a feasible user power (>= r_lo by the ratio guard): the
+    # inverse of user_cap at u_lo, capped at r_hi; with u_lo = 0 every relay power leaves one.
     ratio_lo = np.divide(bound, gub * c.u_lo, out=np.full(gub.shape, np.inf), where=c.u_lo > 0)
     r_top = np.maximum(np.minimum(c.r_hi, (ratio_lo - (c_th + 1.0)) / grb), c.r_lo)
     # One (T, K) row per candidate relay power: r_lo, flat start, r*, crossing, r_top.

@@ -10,7 +10,8 @@ as a larger grid, making the TAS benchmark the exact degenerate case of
 the proposed scheme).
 
 A ``TrialDraws`` object holds one run's draws as ``(T, K)`` arrays, the
-gains made once per port grid: ``run_sweep`` passes one to every
+gains made once per port grid, from stream start states derived in one
+``stream_states`` batch: ``run_sweep`` passes one to every
 ``run_benchmark`` call, whatever the number of schemes and sweep values.
 
 ``run_benchmark`` takes one scheme's ``(T, K)`` user->relay SNRs from
@@ -18,7 +19,8 @@ one ``draw_gamma_ur`` call and solves every trial and user in one array
 pass, users as columns: ``solve_system`` for ``proposed`` and ``tas``,
 one ``optimize_powers`` call for ``avg_bandwidth``, and one set of power
 draws with row-wise bandwidth for ``random_power``.  A sweep thus makes
-one pass per scheme and sweep value, whatever the number of users.
+one pass per distinct (scheme, users, grid), whatever the number of users:
+TAS is solved once on a ``num_ports`` sweep.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .outage import (
     scheme_region,
     snr_threshold,
 )
-from .seeding import substream
+from .seeding import stream_states, substream
 
 PROPOSED = "proposed"
 TAS = "tas"
@@ -310,34 +312,53 @@ def empirical_outage(
     )
 
 
+def _grid_key(grid: PortGrid) -> tuple:
+    """What sets a grid's correlation: a one-port dimension's aperture sets none, so it is left out."""
+    return (grid.n1, grid.n2, grid.w1 if grid.n1 > 1 else 0.0, grid.w2 if grid.n2 > 1 else 0.0)
+
+
+def _scheme_grid(scenario: Scenario, scheme: str) -> PortGrid:
+    """The port grid a scheme selects on: TAS sees one port, every other scheme the scenario's grid."""
+    return PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
+
+
+def _stream_keys(trials: int, num_users: int, tag: int) -> np.ndarray:
+    """``(T * K, 3)`` stream keys ``(t, k, tag)``, trial-major."""
+    return np.indices((trials, num_users, 1)).reshape(3, -1).T + (0, 0, tag)
+
+
 class TrialDraws:
     """One run's draws as arrays over ``trials`` x ``num_users``, each made once.
 
-    Each (trial, user) channel stream is derived once and restarted from
-    its first state for every port grid, so each grid reads the draws of
-    a fresh stream.  A one-port dimension's aperture sets no correlation,
-    so it is left out of the gains' key: the TAS grid shares every 1x1
-    grid's draw.  Power streams are derived only when asked for.
+    The (trial, user) channel streams' start states come from one
+    ``stream_states`` call, and one generator is set to a stream's start
+    state before each of its draws, so every port grid reads the draws of
+    a fresh stream.  Grids with one correlation share one draw
+    (``_grid_key``): the TAS grid shares every 1x1 grid's.  Power streams
+    are derived only when asked for.
     """
 
     def __init__(self, seed: int, trials: int, num_users: int):
         self.seed = seed
         self.trials = trials
         self.num_users = num_users
-        rngs = [substream(seed, t, k, _CHANNEL_TAG) for t, k in np.ndindex(trials, num_users)]
-        self._channel_streams = [(rng, rng.bit_generator.state) for rng in rngs]
+        self._rng = np.random.Generator(np.random.PCG64())  # its state is set per stream
+        self._channel_states = stream_states(seed, _stream_keys(trials, num_users, _CHANNEL_TAG))
         self._best_gains: dict[tuple, np.ndarray] = {}
         self._power_uniforms: np.ndarray | None = None
 
+    def _streams(self, states):
+        """The shared generator once per state, set to it."""
+        for state in states:
+            self._rng.bit_generator.state = state
+            yield self._rng
+
     def best_gains(self, grid: PortGrid) -> np.ndarray:
         """``(T, K)`` best-port |h|^2 on ``grid``: one ``sample_gains`` row per (trial, user) stream."""
-        key = (grid.n1, grid.n2, grid.w1 if grid.n1 > 1 else 0.0, grid.w2 if grid.n2 > 1 else 0.0)
+        key = _grid_key(grid)
         if key not in self._best_gains:
             corr = build_correlation(grid)
-            rows = []
-            for rng, start in self._channel_streams:
-                rng.bit_generator.state = start
-                rows.append(sample_gains(corr, rng, 1)[0])
+            rows = [sample_gains(corr, rng, 1)[0] for rng in self._streams(self._channel_states)]
             gains = np.reshape(rows, (self.trials, self.num_users, corr.dim))
             self._best_gains[key] = best_gain_sq(gains)
         return self._best_gains[key]
@@ -345,8 +366,8 @@ class TrialDraws:
     def power_uniforms(self) -> np.ndarray:
         """``(T, K, 2)`` (p_user, p_relay) uniforms, one ``random(2)`` per (trial, user) power stream."""
         if self._power_uniforms is None:
-            keys = np.ndindex(self.trials, self.num_users)
-            pairs = [substream(self.seed, t, k, _POWER_TAG).random(2) for t, k in keys]
+            states = stream_states(self.seed, _stream_keys(self.trials, self.num_users, _POWER_TAG))
+            pairs = [rng.random(2) for rng in self._streams(states)]
             self._power_uniforms = np.reshape(pairs, (self.trials, self.num_users, 2))
         return self._power_uniforms
 
@@ -411,8 +432,7 @@ def run_benchmark(
             f"draws were made for {draws.trials} trials of {draws.num_users} users, "
             f"not {scenario.trials} trials of {len(users)}"
         )
-    grid = PortGrid(1, 1, 0.0, 0.0) if scheme == TAS else scenario.grid
-    gammas = draw_gamma_ur(users, grid, draws)
+    gammas = draw_gamma_ur(users, _scheme_grid(scenario, scheme), draws)
     if scheme in (PROPOSED, TAS):
         result = solve_system(users, total_bw, scenario.xi, gammas)
         sum_rate, reasons = result.sum_rate, tuple("" if err is None else err.reason for err in result.errors)
@@ -455,15 +475,21 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> SweepResult:
     Channel substreams are keyed only by (seed, trial, user), so every
     sweep value and scheme sees the same draws (common random numbers);
     the `num_ports` sweep at side 1 reproduces the TAS scheme exactly.
-    One ``TrialDraws`` serves every value and scheme.
+    One ``TrialDraws`` serves every value and scheme, and each distinct
+    (scheme, users, grid) problem is solved once: on a ``num_ports`` sweep
+    TAS sees the same one-port grid at every value.
     """
     rows: list[SweepRow] = []
     summaries: list[SweepSummary] = []
     draws = TrialDraws(scenario.seed, scenario.trials, len(scenario.users))
+    solved: dict[tuple, list[TrialRecord]] = {}
     for value in spec.values:
         derived = _sweep_scenario(scenario, spec.variable, value)
         for scheme in spec.schemes:
-            records = run_benchmark(derived, scheme, scenario.seed, draws)
+            key = (scheme, derived.users, _grid_key(_scheme_grid(derived, scheme)))
+            if key not in solved:
+                solved[key] = run_benchmark(derived, scheme, scenario.seed, draws)
+            records = solved[key]
             feasible_rates = [r.sum_rate for r in records if r.feasible]
             for record in records:
                 rows.append(

@@ -347,19 +347,24 @@ class TestSharedDraws:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_sweep_records_match_per_trial_oracle(self, monkeypatch, case, variable):
         scenario = ORACLE_CASES[case]()
-        calls = []
+        solved = []
         original = harness.run_benchmark
-
-        def recording(derived, scheme, seed, draws=None):
-            records = original(derived, scheme, seed, draws)
-            calls.append((derived, scheme, seed, records))
-            return records
-
-        monkeypatch.setattr(harness, "run_benchmark", recording)
-        run_sweep(scenario, SweepSpec(variable=variable, values=SWEEP_VALUES[variable]))
-        assert len(calls) == len(SWEEP_VALUES[variable]) * len(SCHEMES)
-        for derived, scheme, seed, records in calls:
-            assert _bits(records) == _bits(run_benchmark_per_trial(derived, scheme, seed)), scheme
+        monkeypatch.setattr(harness, "run_benchmark", lambda *args: solved.append(args[1]) or original(*args))
+        values = SWEEP_VALUES[variable]
+        result = run_sweep(scenario, SweepSpec(variable=variable, values=values))
+        # One call per distinct (scheme, users, grid): TAS sees one 1x1 grid at every num_ports value.
+        per_value = {s: 1 if s == TAS and variable == "num_ports" else len(values) for s in SCHEMES}
+        assert Counter(solved) == Counter(per_value)
+        assert len(solved) == (10 if variable == "num_ports" else 12)
+        blocks = {}
+        for row in result.rows:
+            blocks.setdefault((row.sweep_value, row.scheme), []).append((row.trial, row.sum_rate.hex(), row.feasible))
+        assert len(blocks) == len(values) * len(SCHEMES)
+        for value in values:
+            derived = harness._sweep_scenario(scenario, variable, value)
+            for scheme in SCHEMES:
+                expected = run_benchmark_per_trial(derived, scheme, scenario.seed)
+                assert blocks[float(value), scheme] == [b[:3] for b in _bits(expected)], (value, scheme)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_cases_cover_feasible_and_infeasible_trials(self, case):
@@ -420,8 +425,13 @@ class TestSharedDraws:
     def test_one_stream_per_trial_user_and_tag(self, monkeypatch, variable, values, schemes):
         scenario = random_scenario(num_users=3, seed=23, trials=4)
         derived = []
-        original = harness.substream
-        monkeypatch.setattr(harness, "substream", lambda *key: derived.append(key) or original(*key))
+        original = harness.stream_states
+
+        def recording(seed, paths):
+            derived.extend((seed, *map(int, path)) for path in paths)
+            return original(seed, paths)
+
+        monkeypatch.setattr(harness, "stream_states", recording)
         run_sweep(scenario, SweepSpec(variable=variable, values=values, schemes=schemes))
         tags = Counter(key[-1] for key in derived)
         trials_users = scenario.trials * len(scenario.users)
@@ -502,11 +512,21 @@ class TestDrawArrays:
 
 
 class TestStreamKeyCoincidences:
-    """``SeedSequence`` ignores trailing zero words, so some keys share a stream (pinned, not endorsed)."""
+    """Keys that differ by trailing zeros share a stream while they fit ``SeedSequence``'s
+    four-word pool, as every key does at a seed below 2**32 (pinned, not endorsed)."""
 
     def test_trailing_zeros_address_the_same_stream(self):
         assert substream(5, 3, 0).random(4).tolist() == substream(5, 3).random(4).tolist()
         assert derive_seed(5, 3, 0) == derive_seed(5, 3)
+
+    @pytest.mark.parametrize("seed, same", [(2**32 - 1, True), (2**32, False)])
+    def test_trailing_zeros_coincide_only_within_the_pool(self, seed, same):
+        # A two-word seed makes (s, 3, 0, 0) five words: its last zero is mixed in, not padding.
+        assert (substream(seed, 3, 0, 0).random(4).tolist() == substream(seed, 3).random(4).tolist()) is same
+        assert (derive_seed(seed, 3, 0, 0) == derive_seed(seed, 3)) is same
+        grid = PortGrid(2, 2, 1.0, 1.0)
+        (chunk,) = harness._best_gain_blocks(build_correlation(grid), 1, seed)
+        assert (chunk[0].hex() == TrialDraws(seed, 1, 1).best_gains(grid)[0, 0].hex()) is same
 
     def test_validate_chunk_zero_is_trial_zero_user_zero(self):
         grid = PortGrid(2, 2, 1.0, 1.0)

@@ -347,15 +347,24 @@ class TestSharedDraws:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_sweep_records_match_per_trial_oracle(self, monkeypatch, case, variable):
         scenario = ORACLE_CASES[case]()
-        solved = []
+        calls = []
         original = harness.run_benchmark
-        monkeypatch.setattr(harness, "run_benchmark", lambda *args: solved.append(args[1]) or original(*args))
+
+        def recording(derived, scheme, seed, draws=None):
+            records = original(derived, scheme, seed, draws)
+            calls.append((derived, scheme, seed, records))
+            return records
+
+        monkeypatch.setattr(harness, "run_benchmark", recording)
         values = SWEEP_VALUES[variable]
         result = run_sweep(scenario, SweepSpec(variable=variable, values=values))
         # One call per distinct (scheme, users, grid): TAS sees one 1x1 grid at every num_ports value.
         per_value = {s: 1 if s == TAS and variable == "num_ports" else len(values) for s in SCHEMES}
-        assert Counter(solved) == Counter(per_value)
-        assert len(solved) == (10 if variable == "num_ports" else 12)
+        assert Counter(scheme for _, scheme, _, _ in calls) == Counter(per_value)
+        assert len(calls) == (10 if variable == "num_ports" else 12)
+        # Each solve, infeasibility reasons included, matches a fresh stream per (scheme, trial, user).
+        for derived, scheme, seed, records in calls:
+            assert _bits(records) == _bits(run_benchmark_per_trial(derived, scheme, seed)), scheme
         blocks = {}
         for row in result.rows:
             blocks.setdefault((row.sweep_value, row.scheme), []).append((row.trial, row.sum_rate.hex(), row.feasible))

@@ -49,12 +49,6 @@ class TestStreamStates:
         states = stream_states(seed, keys)
         assert states == [_reference(seed, path).state for path in keys]
 
-    def test_trailing_zero_keys_follow_seed_sequence(self):
-        # (s, 3) and (s, 3, 0, 0) coincide below 2**32 and differ from there on.
-        for seed, same in [(2**32 - 1, True), (2**32, False)]:
-            short, padded = stream_states(seed, [[3]])[0], stream_states(seed, [[3, 0, 0]])[0]
-            assert (short == padded) is same
-
     def test_empty_batch(self):
         assert stream_states(7, np.zeros((0, 3), dtype=np.int64)) == []
 

@@ -16,7 +16,6 @@ from .allocator import (
     TrialAllocations,
     UserConfig,
     allocate_bandwidth,
-    derive_min_powers,
     optimize_powers,
     snr_af,
     snr_df,

@@ -162,12 +162,6 @@ def half_duplex_rate(bandwidth, snr):
     return 0.5 * bandwidth * _rate_scale(snr)
 
 
-def derive_min_powers(budget: LinkBudget, p_user_max: float, p_relay_max: float, c_th: float) -> tuple[float, float]:
-    """The corner :func:`power_box` derives when no minimum power is given."""
-    box = power_box(budget, p_user_max, p_relay_max, 0.0, c_th)
-    return box.p_user_min, box.p_relay_min
-
-
 def _smallest_passing(passes, cap: float) -> float:
     """Smallest x in [0, cap] with ``passes(x)``, for a nondecreasing test that ``cap`` passes.
 

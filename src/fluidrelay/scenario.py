@@ -1,24 +1,18 @@
-"""Scenario file parsing: strict JSON schema with physical-unit conversion.
+"""Scenario file parsing: strict JSON sections with physical-unit conversion.
 
-The schema (see the README for a field reference):
-
-    {
-      "grid":   {"n1": int, "n2": int, "w1": num, "w2": num},
-      "system": {"total_bw_hz": num, "xi_bits": num, "seed": int, "trials": int},
-      "users":  [{"alpha_ur": num, "alpha_ub": num, "alpha_rb": num,
-                  "sigma2_relay_dbm": num, "sigma2_bs_dbm": num,
-                  "p_user_max_w": num, "p_relay_max_w": num,
-                  "rate_min_bps": num,
-                  "p_user_min_w": num (optional), "p_relay_min_w": num (optional)}],
-      "sweep":  {"variable": str, "values": [num], "schemes": [str]}  (optional)
-    }
+:data:`SECTIONS` is the schema of the ``grid``, ``system`` and ``users[]``
+sections.  It gives each key its rule: a row of ``domain.BOUNDS`` for a
+number, or the least allowed value for an integer.  Only the keys in
+:data:`OPTIONAL` may be absent.  The optional ``sweep`` section takes
+``variable``, ``values`` and ``schemes``, whose rules ``harness.SweepSpec``
+holds.  The README is the field reference.
 
 Unknown keys anywhere are rejected with the offending path so typos in
 physical parameters cannot pass silently, and so is every number outside
-its row of ``domain.BOUNDS``.  dBm fields convert to watts as
-10**((dBm - 30)/10).  Absent minimum powers are derived lazily, by
-``allocator.power_box`` in :func:`build_scenario` (commands that never
-touch power boxes still work on power-infeasible scenarios).
+its rule.  dBm fields convert to watts as 10**((dBm - 30)/10).  Absent
+minimum powers are derived lazily, by ``allocator.power_box`` in
+:func:`build_scenario` (commands that never touch power boxes still work on
+power-infeasible scenarios).
 """
 
 from __future__ import annotations
@@ -55,101 +49,78 @@ class ScenarioSpec:
     sweep: SweepSpec | None
 
 
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
+# Each section's rules by key: a ``domain.BOUNDS`` row for a number, the least allowed value for an integer.
+SECTIONS = {
+    "grid": {"n1": 1, "n2": 1, "w1": "aperture_wl", "w2": "aperture_wl"},
+    "system": {"total_bw_hz": "total_bw_hz", "xi_bits": "xi_bits", "seed": 0, "trials": 1},
+    "users": {
+        "alpha_ur": "gain", "alpha_ub": "gain", "alpha_rb": "gain",
+        "sigma2_relay_dbm": "noise_dbm", "sigma2_bs_dbm": "noise_dbm",
+        "p_user_max_w": "power_w", "p_relay_max_w": "power_w",
+        "p_user_min_w": "min_power_w", "p_relay_min_w": "min_power_w",
+        "rate_min_bps": "rate_min_bps",
+    },
+}
+OPTIONAL = frozenset({"p_user_min_w", "p_relay_min_w"})
+
+
+def _keys(obj, path: str, allowed, optional=()) -> dict:
+    """``obj`` when it is an object with no key outside ``allowed`` and every key of ``allowed`` not in ``optional``.
+
+    Messages name ``obj`` as ``path`` and its keys as ``path.key``, or as ``key`` when ``path`` is empty.
+    """
+    if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
-    return value
-
-
-def _reject_unknown(obj: dict, path: str, allowed) -> None:
+    prefix = f"{path}." if path else ""
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ValueError(f"unknown key: {path}{unknown[0]}")
+        raise ValueError(f"unknown key: {prefix}{unknown[0]}")
+    for key in allowed:
+        if key not in obj and key not in optional:
+            raise ValueError(f"missing key: {prefix}{key}")
+    return obj
 
 
-def _get_number(obj: dict, path: str, key: str, row: str) -> float:
-    """The number at ``key``, checked against the domain's ``row``."""
-    if key not in obj:
-        raise ValueError(f"missing key: {path}{key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{path}{key}: expected a number")
-    return float(check(row, value, f"{path}{key}"))
-
-
-def _get_int(obj: dict, path: str, key: str, *, minimum: int) -> int:
-    if key not in obj:
-        raise ValueError(f"missing key: {path}{key}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path}{key}: expected an integer")
-    if value < minimum:
-        raise ValueError(f"{path}{key}: must be >= {minimum}")
-    return value
+def _read(obj, path: str, table: dict) -> dict:
+    """The values of section ``obj`` by key, each checked against its rule in ``table``."""
+    values = {}
+    for key, value in _keys(obj, path, table, OPTIONAL).items():
+        rule, name = table[key], f"{path}.{key}"
+        integer = isinstance(rule, int)
+        # A bool is never a number, and a JSON float such as 2.0 is never an integer.
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ValueError(f"{name}: expected {'an integer' if integer else 'a number'}")
+        if integer and value < rule:
+            raise ValueError(f"{name}: must be >= {rule}")
+        values[key] = value if integer else float(check(rule, value, name))
+    return values
 
 
 def _parse_user(obj, path: str) -> UserSpec:
-    obj = _expect_mapping(obj, path)
-    _reject_unknown(
-        obj,
-        path,
-        (
-            "alpha_ur",
-            "alpha_ub",
-            "alpha_rb",
-            "sigma2_relay_dbm",
-            "sigma2_bs_dbm",
-            "p_user_max_w",
-            "p_relay_max_w",
-            "rate_min_bps",
-            "p_user_min_w",
-            "p_relay_min_w",
-        ),
-    )
+    v = _read(obj, path, SECTIONS["users"])
+    for low, cap in (("p_user_min_w", "p_user_max_w"), ("p_relay_min_w", "p_relay_max_w")):
+        if v.get(low, 0.0) > v[cap]:
+            raise ValueError(f"{path}.{low}: must not exceed {cap}")
     budget = LinkBudget(
-        alpha_ur=_get_number(obj, path, "alpha_ur", "gain"),
-        alpha_ub=_get_number(obj, path, "alpha_ub", "gain"),
-        alpha_rb=_get_number(obj, path, "alpha_rb", "gain"),
-        sigma2_relay=dbm_to_watts(_get_number(obj, path, "sigma2_relay_dbm", "noise_dbm")),
-        sigma2_bs=dbm_to_watts(_get_number(obj, path, "sigma2_bs_dbm", "noise_dbm")),
+        v["alpha_ur"], v["alpha_ub"], v["alpha_rb"],
+        dbm_to_watts(v["sigma2_relay_dbm"]), dbm_to_watts(v["sigma2_bs_dbm"])
     )
-    p_user_max = _get_number(obj, path, "p_user_max_w", "power_w")
-    p_relay_max = _get_number(obj, path, "p_relay_max_w", "power_w")
-    p_user_min = p_relay_min = None
-    if "p_user_min_w" in obj:
-        p_user_min = _get_number(obj, path, "p_user_min_w", "min_power_w")
-        if p_user_min > p_user_max:
-            raise ValueError(f"{path}p_user_min_w: must not exceed p_user_max_w")
-    if "p_relay_min_w" in obj:
-        p_relay_min = _get_number(obj, path, "p_relay_min_w", "min_power_w")
-        if p_relay_min > p_relay_max:
-            raise ValueError(f"{path}p_relay_min_w: must not exceed p_relay_max_w")
     return UserSpec(
-        budget=budget,
-        p_user_max=p_user_max,
-        p_relay_max=p_relay_max,
-        rate_min=_get_number(obj, path, "rate_min_bps", "rate_min_bps"),
-        p_user_min=p_user_min,
-        p_relay_min=p_relay_min,
+        budget, v["p_user_max_w"], v["p_relay_max_w"], v["rate_min_bps"], v.get("p_user_min_w"), v.get("p_relay_min_w")
     )
 
 
 def _parse_sweep(obj, path: str) -> SweepSpec:
-    obj = _expect_mapping(obj, path)
-    _reject_unknown(obj, path, ("variable", "values", "schemes"))
-    if "variable" not in obj:
-        raise ValueError(f"missing key: {path}variable")
-    if "values" not in obj:
-        raise ValueError(f"missing key: {path}values")
+    obj = _keys(obj, path, ("variable", "values", "schemes"), optional=("schemes",))
     values = obj["values"]
     if not isinstance(values, list) or not values:
-        raise ValueError(f"{path}values: expected a nonempty array")
+        raise ValueError(f"{path}.values: expected a nonempty array")
     for i, v in enumerate(values):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ValueError(f"{path}values[{i}]: expected a number")
+            raise ValueError(f"{path}.values[{i}]: expected a number")
     schemes = obj.get("schemes", list(SCHEMES))
     if not isinstance(schemes, list):
-        raise ValueError(f"{path}schemes: expected an array")
+        raise ValueError(f"{path}.schemes: expected an array")
     try:
         return SweepSpec(variable=obj["variable"], values=tuple(values), schemes=tuple(schemes))
     except ValueError as err:
@@ -157,36 +128,18 @@ def _parse_sweep(obj, path: str) -> SweepSpec:
 
 
 def parse_scenario(doc, source: str = "scenario") -> ScenarioSpec:
-    doc = _expect_mapping(doc, source)
-    _reject_unknown(doc, "", ("grid", "system", "users", "sweep"))
-    for key in ("grid", "system", "users"):
-        if key not in doc:
-            raise ValueError(f"missing key: {key}")
-
-    grid_obj = _expect_mapping(doc["grid"], "grid")
-    _reject_unknown(grid_obj, "grid.", ("n1", "n2", "w1", "w2"))
-    grid = PortGrid(
-        n1=_get_int(grid_obj, "grid.", "n1", minimum=1),
-        n2=_get_int(grid_obj, "grid.", "n2", minimum=1),
-        w1=_get_number(grid_obj, "grid.", "w1", "aperture_wl"),
-        w2=_get_number(grid_obj, "grid.", "w2", "aperture_wl"),
-    )
-
-    system = _expect_mapping(doc["system"], "system")
-    _reject_unknown(system, "system.", ("total_bw_hz", "xi_bits", "seed", "trials"))
-    total_bw = _get_number(system, "system.", "total_bw_hz", "total_bw_hz")
-    xi = _get_number(system, "system.", "xi_bits", "xi_bits")
-    seed = _get_int(system, "system.", "seed", minimum=0)
-    trials = _get_int(system, "system.", "trials", minimum=1)
-
+    if not isinstance(doc, dict):
+        raise ValueError(f"{source}: expected an object")
+    _keys(doc, "", ("grid", "system", "users", "sweep"), optional=("sweep",))
+    grid = PortGrid(**_read(doc["grid"], "grid", SECTIONS["grid"]))
+    system = _read(doc["system"], "system", SECTIONS["system"])
     users_obj = doc["users"]
     if not isinstance(users_obj, list) or not users_obj:
         raise ValueError("users: expected a nonempty array")
-    users = tuple(_parse_user(u, f"users[{i}].") for i, u in enumerate(users_obj))
-
-    sweep = _parse_sweep(doc["sweep"], "sweep.") if "sweep" in doc else None
+    users = tuple(_parse_user(u, f"users[{i}]") for i, u in enumerate(users_obj))
+    sweep = _parse_sweep(doc["sweep"], "sweep") if "sweep" in doc else None
     return ScenarioSpec(
-        grid=grid, total_bw=total_bw, xi=xi, seed=seed, trials=trials, users=users, sweep=sweep
+        grid, system["total_bw_hz"], system["xi_bits"], system["seed"], system["trials"], users, sweep
     )
 
 

@@ -26,8 +26,9 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.special import chndtr, chndtrix, ndtr, ndtri
 
-from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig, derive_min_powers
+from fluidrelay import LinkBudget, MvnEstimate, Selection, SnrTriple, UserConfig
 from fluidrelay import harness
+from fluidrelay.allocator import power_box
 from fluidrelay.channel import PortGrid, build_correlation, sample_gains
 from fluidrelay.errors import InfeasibleError
 from fluidrelay.outage import af_df_boundary, mean_snr_sum, snr_threshold
@@ -188,7 +189,8 @@ def random_power_instance(rng):
         gamma_rb = b_max / pr_max
         gamma_ur = (c_th / pu_max) * 10.0 ** rng.uniform(-1.5, 1.5)
         budget = _budget_for(gamma_ub, gamma_rb)
-        pu_min, pr_min = derive_min_powers(budget, pu_max, pr_max, c_th)
+        box = power_box(budget, pu_max, pr_max, 0.0, c_th)
+        pu_min, pr_min = box.p_user_min, box.p_relay_min
         grow = 10.0 ** rng.uniform(0.0, 0.3)
         pu_min = min(pu_min * grow, pu_max)
         pr_min = min(pr_min * grow, pr_max)

@@ -13,7 +13,6 @@ from fluidrelay import (
     TrialAllocations,
     UserConfig,
     allocate_bandwidth,
-    derive_min_powers,
     optimize_powers,
     scheme_region,
     snr_af,
@@ -21,6 +20,7 @@ from fluidrelay import (
     solve_df_subproblem,
     solve_system,
 )
+from fluidrelay.allocator import power_box
 from fluidrelay.outage import mean_snr_sum, snr_threshold
 
 from oracles import (
@@ -259,13 +259,15 @@ class TestSchemeRegion:
 class TestDeriveMinPowers:
     def test_guard_holds(self):
         budget = unit_budget(2.0, 3.0)
-        pu, pr = derive_min_powers(budget, 1.0, 1.0, 1.0)
+        box = power_box(budget, 1.0, 1.0, 0.0, 1.0)
+        pu, pr = box.p_user_min, box.p_relay_min
         assert pu * 2.0 + pr * 3.0 >= 1.0
         assert pu == pytest.approx(0.2, rel=1e-9)  # t = C_th / 5
 
     def test_returns_the_smallest_passing_scaling(self):
         # t = 5/12: the pair sums to exactly C_th, and no smaller scaling reaches it.
-        pu, pr = derive_min_powers(unit_budget(1.0, 3.0), 0.3, 0.7, 1.0)
+        box = power_box(unit_budget(1.0, 3.0), 0.3, 0.7, 0.0, 1.0)
+        pu, pr = box.p_user_min, box.p_relay_min
         assert (pu, pr) == (0.125, 0.2916666666666667)
         assert mean_snr_sum(pu, pr, 1.0, 3.0) == 1.0
 
@@ -279,32 +281,35 @@ class TestDeriveMinPowers:
     def test_one_double_below_the_scaling_fails_the_guard(self, gamma_ub, gamma_rb, p_relay_max, log_fraction):
         # With p_user_max = 1 the derived user power is the scaling t itself.
         c_th = 10.0**log_fraction * mean_snr_sum(1.0, p_relay_max, gamma_ub, gamma_rb)
-        t, pr = derive_min_powers(unit_budget(gamma_ub, gamma_rb), 1.0, p_relay_max, c_th)
+        box = power_box(unit_budget(gamma_ub, gamma_rb), 1.0, p_relay_max, 0.0, c_th)
+        t, pr = box.p_user_min, box.p_relay_min
         assert pr == t * p_relay_max and mean_snr_sum(t, pr, gamma_ub, gamma_rb) >= c_th
         lower = math.nextafter(t, 0.0)
         assert mean_snr_sum(lower, lower * p_relay_max, gamma_ub, gamma_rb) < c_th
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleError) as err:
-            derive_min_powers(unit_budget(), 0.3, 0.3, 1.0)
+            power_box(unit_budget(), 0.3, 0.3, 0.0, 1.0)
         assert err.value.reason == "INFEASIBLE_POWER"
 
     def test_exact_boundary_keeps_full_power(self):
-        pu, pr = derive_min_powers(unit_budget(), 0.5, 0.5, 1.0)
+        box = power_box(unit_budget(), 0.5, 0.5, 0.0, 1.0)
+        pu, pr = box.p_user_min, box.p_relay_min
         assert pu == pytest.approx(0.5)
         assert pr == pytest.approx(0.5)
 
     def test_non_finite_sum_at_max_powers_rejected(self):
         # A sum at maximum powers overflowed only for gains or caps beyond the domain.
         with pytest.raises(ValueError, match="alpha_ub: must be in"):
-            derive_min_powers(unit_budget(1e300, 1.0), 1e10, 1.0, 1.0)
+            power_box(unit_budget(1e300, 1.0), 1e10, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="p_user_max: must be in"):
-            derive_min_powers(unit_budget(1e10, 1.0), 1e10, 1.0, 1.0)
+            power_box(unit_budget(1e10, 1.0), 1e10, 1.0, 0.0, 1.0)
         # The domain's largest sum, 2e36, with its smallest C_th: the corner is
         # about 7e-43 of the caps, down to 7e-73 W, a normal double.
         edge = LinkBudget(alpha_ur=1.0, alpha_ub=1e10, alpha_rb=1e10, sigma2_relay=1.0, sigma2_bs=1e-20)
         for p_user_max, p_relay_max in ((1e6, 1e6), (1e-30, 1e6)):
-            pu, pr = derive_min_powers(edge, p_user_max, p_relay_max, snr_threshold(1e-6))
+            box = power_box(edge, p_user_max, p_relay_max, 0.0, snr_threshold(1e-6))
+            pu, pr = box.p_user_min, box.p_relay_min
             assert 6.9e-73 <= pu and 6.9e-73 <= pr
             assert mean_snr_sum(pu, pr, edge.gamma_bar_ub, edge.gamma_bar_rb) >= snr_threshold(1e-6)
 
@@ -322,7 +327,8 @@ class TestDeriveMinPowers:
     ):
         budget = unit_budget(gamma_ub, gamma_rb)
         c_th = 10.0**log_fraction * mean_snr_sum(p_user_max, p_relay_max, gamma_ub, gamma_rb)
-        pu, pr = derive_min_powers(budget, p_user_max, p_relay_max, c_th)
+        box = power_box(budget, p_user_max, p_relay_max, 0.0, c_th)
+        pu, pr = box.p_user_min, box.p_relay_min
         assert 0.0 <= pu <= p_user_max
         assert 0.0 <= pr <= p_relay_max
         cfg = UserConfig(budget, p_user_max, p_relay_max, pu, pr)
@@ -488,7 +494,8 @@ class TestSolveSystem:
         budget = LinkBudget(
             alpha_ur=1e-9, alpha_ub=1e-11, alpha_rb=1e-9, sigma2_relay=1e-15, sigma2_bs=1e-15
         )
-        pu_min, pr_min = derive_min_powers(budget, 0.1, 0.1, 2.0 ** 0.2 - 1.0)
+        box = power_box(budget, 0.1, 0.1, 0.0, 2.0 ** 0.2 - 1.0)
+        pu_min, pr_min = box.p_user_min, box.p_relay_min
         return UserConfig(budget, 0.1, 0.1, pu_min, pr_min, rate_min)
 
     def test_single_user_gets_all_bandwidth(self):
@@ -687,7 +694,8 @@ def trial_systems(draw):
         a_max, b_max = (c_th * 10.0 ** draw(st.floats(-1.3, 2.0)) for _ in range(2))
         assume(a_max + b_max >= c_th)
         budget = unit_budget(a_max / pu_max, b_max / pr_max)
-        pu_min, pr_min = derive_min_powers(budget, pu_max, pr_max, c_th)
+        box = power_box(budget, pu_max, pr_max, 0.0, c_th)
+        pu_min, pr_min = box.p_user_min, box.p_relay_min
         floor = draw(st.sampled_from(["derived"] * 5 + ["raised"] * 6 + ["zero"]))
         if floor == "raised":
             grow = draw(st.floats(1.0, 3.0))

@@ -1,12 +1,18 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from fluidrelay import InfeasibleError, derive_min_powers
+from fluidrelay import InfeasibleError
+from fluidrelay.allocator import power_box
 from fluidrelay.cli import main
-from fluidrelay.scenario import build_scenario, dbm_to_watts, load_scenario, parse_scenario
+from fluidrelay.domain import BOUNDS
+from fluidrelay.scenario import SECTIONS, build_scenario, dbm_to_watts, load_scenario, parse_scenario
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+_MISSING = object()
 
 
 def scenario_doc(**overrides):
@@ -28,6 +34,38 @@ def scenario_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _number_keys():
+    """Every number key of the section tables as (section, key), with its domain row."""
+    return {
+        (section, key): rule
+        for section, table in SECTIONS.items()
+        for key, rule in table.items()
+        if isinstance(rule, str)
+    }
+
+
+# Per key: a value on the domain's edge, which parses, and one just outside it, which must not.
+_DOMAIN_CASES = [
+    (("system", "xi_bits"), 1e-6, 1e-300),
+    (("system", "xi_bits"), 32, 32.5),
+    (("system", "total_bw_hz"), 1, 0.5),
+    (("system", "total_bw_hz"), 1e12, 1.5e12),
+    (("grid", "w1"), 1e6, 1.5e6),
+    (("grid", "w2"), 0, -1e-300),
+    (("users", 0, "alpha_ur"), 1e-25, 5e-324),
+    (("users", 0, "alpha_ub"), 1e10, 1e300),
+    (("users", 0, "alpha_rb"), 1e10, 1e308),
+    (("users", 0, "sigma2_relay_dbm"), -170, -171),
+    (("users", 0, "sigma2_bs_dbm"), 80, 3112),
+    (("users", 0, "p_user_max_w"), 1e6, 1e300),
+    (("users", 0, "p_relay_max_w"), 1e-30, 5e-324),
+    (("users", 0, "p_user_min_w"), 1e-80, 5e-324),
+    (("users", 0, "p_relay_min_w"), 0, -1),
+    (("users", 0, "rate_min_bps"), 1e13, 1e308),
+    (("users", 0, "rate_min_bps"), 1e-3, 1e-300),
+]
 
 
 class TestParsing:
@@ -52,28 +90,7 @@ class TestParsing:
             doc["users"][0][key] = dbm
             assert getattr(parse_scenario(doc).users[0].budget, key.removesuffix("_dbm")) == watts
 
-    @pytest.mark.parametrize(
-        "keys, edge, outside",
-        [
-            (("system", "xi_bits"), 1e-6, 1e-300),
-            (("system", "xi_bits"), 32, 32.5),
-            (("system", "total_bw_hz"), 1, 0.5),
-            (("system", "total_bw_hz"), 1e12, 1.5e12),
-            (("grid", "w1"), 1e6, 1.5e6),
-            (("grid", "w2"), 0, -1e-300),
-            (("users", 0, "alpha_ur"), 1e-25, 5e-324),
-            (("users", 0, "alpha_ub"), 1e10, 1e300),
-            (("users", 0, "alpha_rb"), 1e10, 1e308),
-            (("users", 0, "sigma2_relay_dbm"), -170, -171),
-            (("users", 0, "sigma2_bs_dbm"), 80, 3112),
-            (("users", 0, "p_user_max_w"), 1e6, 1e300),
-            (("users", 0, "p_relay_max_w"), 1e-30, 5e-324),
-            (("users", 0, "p_user_min_w"), 1e-80, 5e-324),
-            (("users", 0, "p_relay_min_w"), 0, -1),
-            (("users", 0, "rate_min_bps"), 1e13, 1e308),
-            (("users", 0, "rate_min_bps"), 1e-3, 1e-300),
-        ],
-    )
+    @pytest.mark.parametrize("keys, edge, outside", _DOMAIN_CASES)
     def test_every_key_is_checked_against_the_domain(self, keys, edge, outside):
         *path, key = keys
         doc = scenario_doc()
@@ -86,6 +103,86 @@ class TestParsing:
         named = "".join(f"[{part}]" if isinstance(part, int) else f".{part}" for part in keys).lstrip(".")
         with pytest.raises(ValueError, match=re.escape(f"{named}: must be")):
             parse_scenario(doc)
+
+    def test_domain_cases_cover_every_number_key(self):
+        # A number key added to a section table without a domain case above fails here.
+        covered = {(keys[0], keys[-1]) for keys, _, _ in _DOMAIN_CASES}
+        assert set(_number_keys()) - covered == set()
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            # A section, or a user, that is not an object: no dot after its name.
+            (("grid",), [], "grid: expected an object"),
+            (("system",), 7, "system: expected an object"),
+            (("users", 0), "x", "users[0]: expected an object"),
+            # A bool is never a number, nor an integer.
+            (("grid", "w1"), True, "grid.w1: expected a number"),
+            (("system", "xi_bits"), False, "system.xi_bits: expected a number"),
+            (("users", 0, "p_user_min_w"), True, "users[0].p_user_min_w: expected a number"),
+            (("system", "trials"), True, "system.trials: expected an integer"),
+            # 2.0 is a number but not an integer.
+            (("grid", "n1"), 2.0, "grid.n1: expected an integer"),
+            (("system", "seed"), 2.0, "system.seed: expected an integer"),
+            # A missing required key, and an unknown one.
+            (("grid", "n2"), _MISSING, "missing key: grid.n2"),
+            (("system", "xi_bits"), _MISSING, "missing key: system.xi_bits"),
+            (("users", 0, "rate_min_bps"), _MISSING, "missing key: users[0].rate_min_bps"),
+            (("grid", "n3"), 1, "unknown key: grid.n3"),
+            (("system", "bandwidth"), 1.0, "unknown key: system.bandwidth"),
+            (("users", 0, "p_user_min"), 0.01, "unknown key: users[0].p_user_min"),
+            # The sweep section's own messages, SweepSpec's included, name it as "sweep", with no dot after.
+            (("sweep",), "num_ports", "sweep: expected an object"),
+            (("sweep",), {"variable": "num_ports"}, "missing key: sweep.values"),
+            (
+                ("sweep",),
+                {"variable": "num_ports", "values": [4, 2]},
+                "sweep: sweep values must be strictly increasing",
+            ),
+            (
+                ("sweep",),
+                {"variable": "frequency", "values": [1]},
+                "sweep: unknown sweep variable 'frequency', "
+                "expected one of ('num_users', 'num_ports', 'relay_power_max')",
+            ),
+        ],
+    )
+    def test_section_faults_give_exact_messages(self, keys, value, message):
+        *path, key = keys
+        doc = scenario_doc()
+        section = doc
+        for part in path:
+            section = section[part]
+        if value is _MISSING:
+            del section[key]
+        else:
+            section[key] = value
+        with pytest.raises(ValueError) as err:
+            parse_scenario(doc)
+        assert str(err.value) == message
+
+    def test_readme_domain_table_lists_every_number_key(self):
+        # Each key cell names its section once; the keys after it in the cell share that section.
+        text = README.read_text(encoding="utf-8").split("Physical input domain", 1)[1]
+        cells = {}
+        for line in text.splitlines():
+            if not line.startswith("|"):
+                if cells:
+                    break
+                continue
+            keys, _, bounds = (cell.strip() for cell in line.strip("|").split("|"))
+            section = None
+            for name in re.findall(r"`([^`]*)`", keys):
+                if "." in name:
+                    section, name = name.split(".", 1)
+                cells[(section and section.removesuffix("[]"), name)] = bounds
+        for (section, key), row in _number_keys().items():
+            assert (section, key) in cells, f"README domain table lacks {section}.{key}"
+            bounds = cells[section, key].replace("−", "-").replace("…", "...")
+            zero = bounds.startswith("0, or ")
+            lo, hi = bounds.removeprefix("0, or ").split("...")
+            bound = BOUNDS[row]
+            assert (float(lo), float(hi), zero) == (bound.lo, bound.hi, bound.zero), f"{section}.{key}"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown key: antenna"):
@@ -148,7 +245,8 @@ class TestBuildScenario:
         floor = user.p_user_min * user.budget.gamma_bar_ub + user.p_relay_min * user.budget.gamma_bar_rb
         assert floor >= scenario.c_th
         assert 0 < user.p_user_min < user.p_user_max
-        assert (user.p_user_min, user.p_relay_min) == derive_min_powers(user.budget, 0.1, 0.1, scenario.c_th)
+        box = power_box(user.budget, 0.1, 0.1, 0.0, scenario.c_th)
+        assert (user.p_user_min, user.p_relay_min) == (box.p_user_min, box.p_relay_min)
 
     @pytest.mark.parametrize("key", ["p_user_min_w", "p_relay_min_w"])
     def test_lone_min_power_derives_the_smallest_partner(self, key):
